@@ -8,7 +8,6 @@ network with the same feedback structure as the original.
 
 __version__ = "0.1.0"
 
-from ._kernels import USING_NUMBA
 from .errors import (
     ConfigError,
     CouplingVanishes,

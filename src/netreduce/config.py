@@ -160,6 +160,10 @@ def config_from_dict(doc):
         t_end=_number(sim_doc, "t_end", "sim.", default=30.0, minimum=1e-9),
         input_node=int(_number(sim_doc, "input_node", "sim.", default=1, minimum=0)),
     )
+    if sim.input_node >= wsbm.n:
+        raise ConfigError(f"config field 'sim.input_node': must be below the {wsbm.n} nodes")
+    if sim.dt > sim.t_end:
+        raise ConfigError("config field 'sim.dt': must not exceed 'sim.t_end'")
 
     return ExperimentConfig(
         wsbm=wsbm,

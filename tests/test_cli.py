@@ -67,6 +67,16 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, base_config(nodes={"preset": "explicit", "tfs": tfs})))
         assert cfg.nodes["preset"] == "explicit"
 
+    def test_input_node_outside_network(self, tmp_path):
+        doc = base_config(sim={"dt": 1e-3, "t_end": 3.0, "input_node": 80})
+        with pytest.raises(ConfigError, match="sim.input_node"):
+            load_config(write_config(tmp_path, doc))
+
+    def test_step_longer_than_horizon(self, tmp_path):
+        doc = base_config(sim={"dt": 0.5, "t_end": 0.1, "input_node": 1})
+        with pytest.raises(ConfigError, match="sim.dt"):
+            load_config(write_config(tmp_path, doc))
+
 
 class TestGenerate:
     def test_eq15_outputs(self, tmp_path):
@@ -169,6 +179,10 @@ class TestEvaluate:
 
 
 class TestSimulate:
+    def test_invalid_sim_settings_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(sim={"dt": 1e-3, "t_end": 3.0, "input_node": 500}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
     def test_eq15_step_response_files(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "run"
@@ -206,7 +220,7 @@ class TestSimulate:
         main(["simulate", "--config", write_config(tmp_path, doc, "c2.json"), "--out", str(out2)])
         coarse = read_matrix_csv(out1 / "full_seed0.csv")
         fine = read_matrix_csv(out2 / "full_seed0.csv")
-        assert np.abs(coarse[:, 1:] - fine[::2, 1:]).max() < 1e-3
+        assert np.abs(coarse[:, 1:] - fine[::2, 1:]).max() < 1e-10
 
 
 class TestExperiment:

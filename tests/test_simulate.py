@@ -115,7 +115,7 @@ class TestStepResponse:
         ss = realize(RationalTF((1.0,), (1.0, 1.0)))
         sim = step_response(ss, 0, t_end=5.0, dt=1e-3)
         expected = 1.0 - np.exp(-sim.times)
-        assert np.abs(sim.outputs[:, 0] - expected).max() <= 1e-6
+        assert np.abs(sim.outputs[:, 0] - expected).max() <= 1e-12
 
     def test_static_gain_constant_output(self):
         ss = realize(RationalTF((2.0,), (1.0,)))
@@ -127,25 +127,28 @@ class TestStepResponse:
         with pytest.raises(Diverged):
             step_response(ss, 0, t_end=80.0, dt=0.01, state_limit=1e6)
 
-    def test_rk4_order_on_smooth_system(self):
-        # self-consistency error must drop by at least ~8x when dt halves
-        g = RationalTF((2.0, 1.0), (2.0, 3.0, 1.0))
-        ss = realize(g)
-        sims = {
-            dt: step_response(ss, 0, t_end=2.0, dt=dt).outputs[:, 0] for dt in (0.08, 0.04, 0.02)
-        }
-        err_coarse = np.abs(sims[0.08][::2] - sims[0.04][::1][: sims[0.08][::2].size]).max()
-        e1 = np.abs(sims[0.08] - sims[0.04][::2]).max()
-        e2 = np.abs(sims[0.04] - sims[0.02][::2]).max()
-        assert e1 / e2 >= 6.0
-        assert err_coarse > 0
+    def test_divergence_reported_at_first_step_past_limit(self):
+        # x' = 5x + 1 from rest: x(t) = (e^{5t} - 1) / 5 first exceeds 1e6
+        # between t = 3.08 and t = 3.09
+        ss = StateSpace(a=[[5.0]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
+        with pytest.raises(Diverged, match=r"at t=3\.09$"):
+            step_response(ss, 0, t_end=5.0, dt=0.01, state_limit=1e6)
+
+    def test_exact_at_every_step_size(self):
+        # (s + 2) / ((s + 1)(s + 2)) has the step response 1 - e^{-t}
+        # whatever dt samples it
+        ss = realize(RationalTF((2.0, 1.0), (2.0, 3.0, 1.0)))
+        sims = {dt: step_response(ss, 0, t_end=2.0, dt=dt) for dt in (0.08, 0.04, 0.02)}
+        for sim in sims.values():
+            assert np.abs(sim.outputs[:, 0] - (1.0 - np.exp(-sim.times))).max() <= 1e-12
+        assert np.abs(sims[0.08].outputs - sims[0.02].outputs[::4]).max() <= 1e-12
 
     def test_step_size_convergence_on_network(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
         loop = close_loop(model.nodes, model.coupling, model.laplacian)
         a = step_response(loop, 1, t_end=2.0, dt=2e-3).outputs
         b = step_response(loop, 1, t_end=2.0, dt=1e-3).outputs
-        assert np.abs(a - b[::2]).max() <= 1e-4
+        assert np.abs(a - b[::2]).max() <= 1e-10
 
     def test_input_node_out_of_range(self):
         ss = realize(RationalTF((1.0,), (1.0, 1.0)))

@@ -17,6 +17,7 @@ from netreduce import (
     sin_theta,
     spectral_norm,
 )
+from netreduce import _kernels
 
 from conftest import random_wsbm
 
@@ -132,6 +133,27 @@ class TestClusterEmbedding:
     def test_requires_enough_columns(self):
         with pytest.raises(KTooLarge):
             cluster_embedding(np.ones((4, 2)), 3, restarts=1, seed=0)
+
+
+class TestLloyd:
+    def test_empty_cluster_repair(self):
+        # both initial centroids inside the same cloud: one cluster would
+        # start empty-prone; repair must keep every cluster nonempty
+        x = np.vstack([np.zeros((5, 2)), np.full((5, 2), 10.0), np.array([[30.0, 30.0]])])
+        init = np.array([[30.0, 30.0], [29.0, 30.0], [0.0, 0.0]])
+        labels, cent, wcss, _ = _kernels.lloyd(x, init, 300)
+        assert np.bincount(labels, minlength=3).min() >= 1
+
+    def test_converges_and_reports_iterations(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((40, 2))
+        init = x[:4].copy()
+        labels, cent, wcss, n_iter = _kernels.lloyd(x, init, 300)
+        assert 1 <= n_iter <= 300
+        # assignment is a fixed point: one more sweep changes nothing
+        labels2, _, wcss2, n2 = _kernels.lloyd(x, cent.copy(), 300)
+        np.testing.assert_array_equal(labels2, labels)
+        assert wcss2 == pytest.approx(wcss, rel=1e-12)
 
 
 class TestSinTheta:
