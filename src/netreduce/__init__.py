@@ -6,6 +6,17 @@ a refined spectral embedding yields the coupling matrix of a small reduced
 network with the same feedback structure as the original.
 """
 
+import os as _os
+
+# One BLAS thread per process unless the caller set one: the numpy and scipy
+# wheels each load their own OpenBLAS, and two thread pools in one process
+# fight over the cores. Parallelism comes from the ``--jobs`` process pool,
+# whose workers inherit these values. This acts only while numpy has not yet
+# been imported, so it must run before any submodule below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+del _os, _var
+
 __version__ = "0.1.0"
 
 from .errors import (

@@ -23,7 +23,6 @@ from .graphs import expected_laplacian, laplacian, sample_adjacency
 from .io import config_hash, dump_json, fmt, write_matrix_csv, write_table_csv
 from .reduction import run_algorithm_1
 from .simulate import broadcast_outputs, close_loop, compare_responses, realize_reduced, step_response
-from .spectral import bottom_k_eig
 from .transfer import log_grid, passivity_check
 
 BAND_NOTE = "band quantities computed on omega in [omega_min, eta]; omega=0 excluded (coupling pole)"
@@ -79,13 +78,12 @@ def _reduce_one(config, seed):
 def cmd_reduce(config, out_dir):
     files = []
     for seed in config.seeds:
-        model, reduced, doc = _reduce_one(config, seed)
+        _, reduced, doc = _reduce_one(config, seed)
         path = os.path.join(out_dir, f"reduced_seed{seed}.json")
         dump_json(path, doc)
         files.append(os.path.basename(path))
-        spec = bottom_k_eig(model.laplacian, config.k)
         emb_path = os.path.join(out_dir, f"embedding_seed{seed}.csv")
-        write_matrix_csv(emb_path, spec.v_k)
+        write_matrix_csv(emb_path, reduced.spectral.v_k)
         files.append(os.path.basename(emb_path))
     dump_json(os.path.join(out_dir, "manifest.json"), _manifest("reduce", config, {"files": files}))
     return 0
@@ -97,8 +95,7 @@ def cmd_evaluate(config, out_dir):
     files = []
     for seed in config.seeds:
         model, reduced, doc = _reduce_one(config, seed)
-        spec = bottom_k_eig(model.laplacian, config.k)
-        report = band_error(model, reduced, spec, grid)
+        report = band_error(model, reduced, reduced.spectral, grid)
         path = os.path.join(out_dir, f"band_seed{seed}.csv")
         write_table_csv(
             path,
@@ -179,9 +176,7 @@ def _experiment_cell(args):
         model, params, gamma = build_model(config, seed, scale=scale)
         l_blk, _ = expected_laplacian(params)
         reduced = run_algorithm_1(model, config.k, seed=seed, restarts=config.restarts)
-        spec = bottom_k_eig(model.laplacian, config.k)
-        grid = _grid(config)
-        report = band_error(model, reduced, spec, grid)
+        report = band_error(model, reduced, reduced.spectral, _grid(config))
         conc = float(np.abs(np.linalg.eigvalsh(model.laplacian - l_blk)).max())
         return {
             "scale": scale,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graphs import WsbmParams, laplacian, sample_adjacency
+from .simulate import sample_steps
 from .transfer import NetworkModel, RationalTF, sample_swing_nodes
 
 
@@ -164,6 +165,10 @@ def config_from_dict(doc):
         raise ConfigError(f"config field 'sim.input_node': must be below the {wsbm.n} nodes")
     if sim.dt > sim.t_end:
         raise ConfigError("config field 'sim.dt': must not exceed 'sim.t_end'")
+    try:
+        sample_steps(sim.t_end, sim.dt)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'sim.dt': {exc}") from exc
 
     return ExperimentConfig(
         wsbm=wsbm,

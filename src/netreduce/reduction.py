@@ -149,7 +149,9 @@ class ReducedModel:
 
     Carries the partition, the retained eigenvalues, the reduced Laplacian,
     the aggregate node dynamics, the refinement matrix, the (unchanged)
-    coupling dynamics, and pipeline diagnostics.
+    coupling dynamics, and pipeline diagnostics. ``spectral`` is the
+    bottom-k eigendata the reduction was built from (kernel eigenvalue set
+    to zero); it is not serialized, so ``from_dict`` leaves it None.
     """
 
     partition: Partition
@@ -162,6 +164,7 @@ class ReducedModel:
     refine_objective: float = 0.0
     clustering_wcss: float = 0.0
     degenerate_refinement: bool = False
+    spectral: SpectralData | None = field(default=None, repr=False)
 
     def __post_init__(self):
         l_k = np.asarray(self.l_k, dtype=float)
@@ -229,7 +232,8 @@ def run_algorithm_1(model, k, seed=0, restarts=50):
     Composes the bottom-k eigendecomposition, spectral clustering of the
     embedding rows, per-block aggregation of node dynamics, embedding
     refinement, and the reduced Laplacian construction. Any stage error is
-    wrapped in ReductionFailed with the stage name.
+    wrapped in ReductionFailed with the stage name. The returned model keeps
+    the eigendata on ``spectral`` so callers need not recompute it.
     """
     n = model.n
     if not 1 <= k < n:
@@ -286,4 +290,5 @@ def run_algorithm_1(model, k, seed=0, restarts=50):
         refine_objective=refined.objective,
         clustering_wcss=wcss,
         degenerate_refinement=refined.degenerate,
+        spectral=spec,
     )

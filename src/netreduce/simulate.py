@@ -172,6 +172,19 @@ class SimResult:
             raise ValueError("outputs must be finite")
 
 
+def sample_steps(t_end, dt):
+    """Number of ``dt`` steps that reach ``t_end`` exactly.
+
+    Raises ValueError unless t_end / dt is an integer within a relative
+    1e-9, so a horizon is never silently cut short or overshot.
+    """
+    ratio = t_end / dt
+    steps = int(round(ratio))
+    if abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(f"dt={dt:g} does not divide t_end={t_end:g} into whole steps")
+    return steps
+
+
 def step_response(sys, input_node, t_end, dt, state_limit=1e12):
     """Step response from rest, sampled every ``dt`` without truncation error.
 
@@ -181,14 +194,15 @@ def step_response(sys, input_node, t_end, dt, state_limit=1e12):
     integral of e^{A s} b over [0, dt]; both are read off one Van Loan
     exponential expm([[A, b], [0, 0]] dt) (Van Loan, IEEE TAC 23(3), 1978).
     Only the outputs are stored. Raises Diverged at the first sample where
-    any state is non-finite or larger than ``state_limit`` in magnitude.
+    any state is non-finite or larger than ``state_limit`` in magnitude, and
+    ValueError when ``dt`` does not divide ``t_end`` (see ``sample_steps``).
     """
     ns, ni, _ = sys.dims
     if dt <= 0 or t_end < dt:
         raise ValueError("need dt > 0 and t_end >= dt")
     if not 0 <= input_node < ni:
         raise ValueError(f"input_node {input_node} out of range [0, {ni})")
-    steps = int(round(t_end / dt))
+    steps = sample_steps(t_end, dt)
     d_u = sys.d[:, input_node]
     times = np.arange(steps + 1) * dt
     spec = f"unit step at node {input_node}"

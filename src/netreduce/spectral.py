@@ -6,6 +6,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import _kernels
 from .errors import (
@@ -64,10 +65,11 @@ def _sign_normalize(v):
 def bottom_k_eig(l, k):
     """Eigenpairs for the k smallest eigenvalues of a symmetric matrix.
 
-    Runs a full dense symmetric eigendecomposition, keeps the bottom k
-    pairs with sign-normalized eigenvectors, and reports the (k+1)-th
-    eigenvalue as well. Emits TiedSpectrumWarning when the k-th and
-    (k+1)-th eigenvalues are numerically tied.
+    Computes only the bottom k+1 eigenpairs (all n when k = n) with a
+    partial dense symmetric eigensolve, keeps the bottom k pairs with
+    sign-normalized eigenvectors, and reports the (k+1)-th eigenvalue as
+    well. Emits TiedSpectrumWarning when the k-th and (k+1)-th eigenvalues
+    are numerically tied. Non-finite entries raise ValueError.
     """
     l = np.asarray(l, dtype=float)
     n = l.shape[0]
@@ -78,7 +80,7 @@ def bottom_k_eig(l, k):
         raise NotSymmetric("matrix is not symmetric")
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} outside [1, {n}]")
-    lam, vec = np.linalg.eigh((l + l.T) / 2.0)
+    lam, vec = scipy.linalg.eigh((l + l.T) / 2.0, subset_by_index=[0, min(k, n - 1)])
     lambda_next = float(lam[k]) if k < n else None
     if lambda_next is not None and abs(lam[k - 1] - lambda_next) <= 1e-12 * (1.0 + abs(lambda_next)):
         warnings.warn(

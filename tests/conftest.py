@@ -1,3 +1,7 @@
+# netreduce first: its import sets the one-BLAS-thread default, which only
+# acts while numpy is not yet loaded
+import netreduce  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -77,6 +77,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sim.dt"):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("dt", [0.4, 0.3])
+    def test_step_not_dividing_horizon(self, tmp_path, dt):
+        # 1.0 / 0.4 would stop the simulation at t = 0.8
+        doc = base_config(sim={"dt": dt, "t_end": 1.0, "input_node": 1})
+        with pytest.raises(ConfigError, match="sim.dt"):
+            load_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("t_end,dt", [(4.0, 1e-3), (30.0, 1e-3), (0.3, 0.1)])
+    def test_whole_step_horizon_within_roundoff_accepted(self, tmp_path, t_end, dt):
+        # 0.3 / 0.1 = 2.9999999999999996 in floating point
+        doc = base_config(sim={"dt": dt, "t_end": t_end, "input_node": 1})
+        assert load_config(write_config(tmp_path, doc)).sim.t_end == t_end
+
 
 class TestGenerate:
     def test_eq15_outputs(self, tmp_path):
@@ -182,6 +195,11 @@ class TestSimulate:
     def test_invalid_sim_settings_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, base_config(sim={"dt": 1e-3, "t_end": 3.0, "input_node": 500}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
+    def test_short_horizon_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(sim={"dt": 0.4, "t_end": 1.0, "input_node": 1}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        assert not (tmp_path / "x").exists()
 
     def test_eq15_step_response_files(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

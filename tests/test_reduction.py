@@ -269,11 +269,24 @@ class TestRunAlgorithm1:
         with pytest.raises(DisconnectedGraph):
             run_algorithm_1(model, 2, seed=0)
 
+    def test_keeps_the_spectral_data_it_used(self, eq15_params):
+        model, _ = make_swing_model(eq15_params, seed=2)
+        reduced = run_algorithm_1(model, 3, seed=2)
+        fresh = bottom_k_eig(model.laplacian, 3)
+        spec = reduced.spectral
+        assert spec.v_k.tobytes() == fresh.v_k.tobytes()
+        assert spec.lambda_next == fresh.lambda_next
+        # the kernel eigenvalue is zeroed, the others kept as computed
+        assert spec.lambda_k[0] == 0.0
+        assert spec.lambda_k[1:].tobytes() == fresh.lambda_k[1:].tobytes()
+        assert spec.lambda_k.tobytes() == reduced.lambda_k.tobytes()
+
     def test_document_round_trip(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=2)
         reduced = run_algorithm_1(model, 3, seed=2)
         doc = reduced.to_dict()
         clone = ReducedModel.from_dict(doc)
+        assert clone.spectral is None
         s = 0.1 + 1.3j
         np.testing.assert_allclose(
             eval_t_hat_k(None, clone, s), eval_t_hat_k(model, reduced, s), rtol=1e-12

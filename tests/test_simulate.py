@@ -155,6 +155,19 @@ class TestStepResponse:
         with pytest.raises(ValueError):
             step_response(ss, 3, t_end=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("dt", [0.4, 0.3])
+    def test_horizon_must_be_whole_steps(self, dt):
+        ss = realize(RationalTF((1.0,), (1.0, 1.0)))
+        with pytest.raises(ValueError, match="does not divide"):
+            step_response(ss, 0, t_end=1.0, dt=dt)
+
+    def test_horizon_within_roundoff_reaches_t_end(self):
+        # 0.3 / 0.1 = 2.9999999999999996: three steps, ending at t_end
+        ss = realize(RationalTF((1.0,), (1.0, 1.0)))
+        sim = step_response(ss, 0, t_end=0.3, dt=0.1)
+        assert sim.times.size == 4
+        assert sim.times[-1] == pytest.approx(0.3, rel=1e-12)
+
 
 class TestAggregateRational:
     def test_swing_group_closed_form(self):

@@ -69,6 +69,34 @@ class TestBottomKEig:
         with pytest.raises(KTooLarge):
             bottom_k_eig(np.eye(3), 0)
 
+    @pytest.mark.parametrize("k", [1, 39, 40])
+    def test_partial_solve_matches_full_eigh(self, k):
+        # k = n - 1 still computes lambda_next; k = n has none
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((40, 40))
+        m = m + m.T
+        lam, vec = np.linalg.eigh(m)
+        data = bottom_k_eig(m, k)
+        np.testing.assert_allclose(data.lambda_k, lam[:k], rtol=1e-10, atol=1e-10 * np.abs(lam).max())
+        if k < 40:
+            assert data.lambda_next == pytest.approx(lam[k], rel=1e-10)
+        else:
+            assert data.lambda_next is None
+        ref = vec[:, :k] * np.sign(vec[np.argmax(np.abs(vec[:, :k]), axis=0), np.arange(k)])
+        np.testing.assert_allclose(data.v_k, ref, atol=1e-10)
+
+    def test_tied_k_and_next_eigenvalues_warn(self):
+        # the complete graph K4 has spectrum {0, 4, 4, 4}
+        lap = 4.0 * np.eye(4) - np.ones((4, 4))
+        with pytest.warns(TiedSpectrumWarning, match="eigenvalues 2 and 3"):
+            data = bottom_k_eig(lap, 2)
+        np.testing.assert_allclose(data.lambda_k, [0.0, 4.0], atol=1e-12)
+        assert data.lambda_next == pytest.approx(4.0, abs=1e-12)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            bottom_k_eig([[np.nan, 0.0], [0.0, 1.0]], 1)
+
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((8, 8))
