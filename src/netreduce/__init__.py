@@ -49,7 +49,6 @@ from .evaluation import (
     eval_t_hat_k,
     eval_t_k,
     eval_t_yu,
-    hinf_grid,
     spectral_norm,
     theorem1_bound,
 )

@@ -9,6 +9,7 @@ validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,12 +19,12 @@ import numpy as np
 from . import __version__
 from .config import build_model, load_config
 from .errors import ConfigError, NetreduceError
-from .evaluation import FreqGrid, band_error, hinf_grid
+from .evaluation import FreqGrid, band_error
 from .graphs import expected_laplacian, laplacian, sample_adjacency
 from .io import config_hash, dump_json, fmt, write_matrix_csv, write_table_csv
 from .reduction import run_algorithm_1
 from .simulate import broadcast_outputs, close_loop, compare_responses, realize_reduced, step_response
-from .transfer import log_grid, passivity_check
+from .transfer import passivity_check
 
 BAND_NOTE = "band quantities computed on omega in [omega_min, eta]; omega=0 excluded (coupling pole)"
 
@@ -44,11 +45,7 @@ def _manifest(command, config, extra=None):
 
 
 def _grid(config):
-    return FreqGrid(
-        eta=config.eta,
-        omega_min=config.omega_min,
-        points=log_grid(config.omega_min, config.eta, config.grid_size),
-    )
+    return FreqGrid.default(config.eta, config.omega_min, config.grid_size)
 
 
 def cmd_generate(config, out_dir):
@@ -103,14 +100,14 @@ def cmd_evaluate(config, out_dir):
             report.rows(),
         )
         files.append(os.path.basename(path))
-        passivity = passivity_check(model, config.eta, config.grid_size, config.omega_min)
+        passivity = passivity_check(model, grid)
         summary["per_seed"][str(seed)] = {
             "sup_err": report.sup_err,
             "sup_err_structure": report.sup_struct,
             "bound_satisfied": report.bound_satisfied,
             "n_failures": len(report.failures),
-            "hinf_t_yu": hinf_grid(model, grid),
-            "hinf_t_hat_k": hinf_grid(reduced, grid),
+            "hinf_t_yu": report.hinf_t_yu,
+            "hinf_t_hat_k": report.hinf_t_hat_k,
             "gamma_hat": passivity.gamma,
             "m_eta_hat": passivity.m_eta,
             "f_lower_hat": passivity.f_lower,
@@ -272,11 +269,7 @@ def main(argv=None):
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            doc = config.to_dict()
-            doc["seeds"] = [args.seed]
-            from .config import config_from_dict
-
-            config = config_from_dict(doc)
+            config = dataclasses.replace(config, seeds=(args.seed,))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

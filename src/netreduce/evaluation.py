@@ -14,8 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NearSingular
-from .reduction import ReducedModel
-from .transfer import NetworkModel, log_grid, tf_eval
+from .transfer import log_grid, tf_eval
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +120,12 @@ class ErrorReport:
     ||T_yu - T_k|| values; ``err_struct`` the structure-preservation gaps
     ||T_k - T_hat_k|| (zero up to roundoff on block-ideal models);
     ``bounds`` the per-frequency truncation bound (None where its
-    precondition fails). Frequencies whose evaluation failed are recorded
-    in ``failures`` and leave gaps in per_freq.
+    precondition fails). ``hinf_t_yu`` and ``hinf_t_hat_k`` are grid
+    estimates of the H-infinity norms of T_yu and T_hat_k (the largest
+    spectral norm over the grid); sampling estimates never exceed the true
+    norm of a stable system. Frequencies whose evaluation failed are
+    recorded in ``failures`` and leave gaps in per_freq and in both
+    H-infinity estimates.
     """
 
     per_freq: tuple
@@ -133,6 +136,8 @@ class ErrorReport:
     failures: tuple = ()
     err_struct: tuple = ()
     sup_struct: float = 0.0
+    hinf_t_yu: float = 0.0
+    hinf_t_hat_k: float = 0.0
 
     def __post_init__(self):
         if self.per_freq:
@@ -157,8 +162,18 @@ def band_error(model, reduced, data, grid):
     the (k+1)-th Laplacian eigenvalue. ``bound_satisfied`` is the
     conjunction of ||T_yu - T_k|| <= bound + 1e-7 (1 + bound) over feasible
     frequencies. Per-frequency failures are recorded, not fatal.
+
+    The rank-k norms are taken on k x k matrices: ||T_k|| = ||V_k^T T_k V_k||
+    because V_k is orthonormal, and ||T_hat_k|| = ||D X D|| with X the
+    reduced core (one representative row and column per block) and
+    D = diag(sqrt(n_i)), because the block indicator is Q D with Q
+    orthonormal.
     """
     lam_next = data.lambda_next
+    v = data.v_k
+    reps = np.unique(reduced.partition.assignment, return_index=True)[1]
+    root_sizes = np.sqrt(reduced.partition.sizes)
+    hinf_yu = hinf_hat = 0.0
     per_freq = []
     err_tk = []
     err_struct = []
@@ -176,7 +191,7 @@ def band_error(model, reduced, data, grid):
             continue
         err = spectral_norm(t_yu - t_hat)
         etk = spectral_norm(t_yu - t_k)
-        m1 = spectral_norm(t_k)
+        m1 = spectral_norm(v.T @ t_k @ v)
         m2 = float(np.abs(_g_inverse_diag(model, s)).max())
         f_abs = abs(tf_eval(model.coupling, s))
         bd = None if lam_next is None else theorem1_bound(m1, m2, f_abs, lam_next)
@@ -186,6 +201,9 @@ def band_error(model, reduced, data, grid):
         err_tk.append(etk)
         err_struct.append(spectral_norm(t_k - t_hat))
         bounds.append(bd)
+        hinf_yu = max(hinf_yu, spectral_norm(t_yu))
+        core = t_hat[np.ix_(reps, reps)]
+        hinf_hat = max(hinf_hat, spectral_norm(root_sizes[:, None] * core * root_sizes))
     sup_err = max((e for _, e in per_freq), default=0.0)
     return ErrorReport(
         per_freq=tuple(per_freq),
@@ -196,24 +214,7 @@ def band_error(model, reduced, data, grid):
         failures=tuple(failures),
         err_struct=tuple(err_struct),
         sup_struct=max(err_struct, default=0.0),
+        hinf_t_yu=hinf_yu,
+        hinf_t_hat_k=hinf_hat,
     )
 
-
-def hinf_grid(system, grid, model=None):
-    """Grid lower estimate of the H-infinity norm (max spectral norm at jw).
-
-    ``system`` may be a NetworkModel (full loop) or a ReducedModel (the
-    broadcast reduced loop). This is a sampling estimate: it never exceeds
-    the true H-infinity norm of a stable system.
-    """
-    sup = 0.0
-    for w in np.asarray(grid.points, dtype=float):
-        s = 1j * w
-        if isinstance(system, NetworkModel):
-            t = eval_t_yu(system, s)
-        elif isinstance(system, ReducedModel):
-            t = eval_t_hat_k(model, system, s)
-        else:
-            raise TypeError("system must be a NetworkModel or ReducedModel")
-        sup = max(sup, spectral_norm(t))
-    return sup

@@ -113,11 +113,15 @@ def _kmeans_pp_init(x, k, rng):
 
 def _canonical_labels(labels, centroids):
     # relabel clusters by lexicographic centroid order so the labelling
-    # depends on the embedding values, not on the row order
-    order = np.lexsort(tuple(centroids[:, c] for c in reversed(range(centroids.shape[1]))))
+    # depends on the embedding values, not on the row order; columns that
+    # are constant across centroids up to roundoff (the Laplacian kernel
+    # direction) are left out, or roundoff would decide the order
+    spread = np.ptp(centroids, axis=0)
+    keys = centroids[:, spread > 1e-9 * np.abs(centroids).max()]
+    order = np.lexsort(keys.T[::-1]) if keys.size else np.arange(len(centroids))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return rank[labels], centroids[order]
+    return rank[labels]
 
 
 def cluster_embedding(data, k, restarts=50, seed=0, max_iter=300):
@@ -126,7 +130,8 @@ def cluster_embedding(data, k, restarts=50, seed=0, max_iter=300):
     k-means++ initialization, best of ``restarts`` runs by within-cluster
     sum of squares, assignment ties broken toward the lowest cluster index,
     and empty clusters repaired by reseeding from the farthest point. Final
-    labels are canonicalized by lexicographic centroid order.
+    labels are canonicalized by lexicographic centroid order, leaving out
+    columns that are constant across centroids up to a relative 1e-9.
 
     Raises DegenerateEmbedding when every restart converges with two
     centroids closer than 1e-12.
@@ -157,8 +162,7 @@ def cluster_embedding(data, k, restarts=50, seed=0, max_iter=300):
     if best is None:
         raise DegenerateEmbedding("all restarts converged with coinciding centroids")
     _, labels, cent = best
-    labels, _ = _canonical_labels(labels, cent)
-    return Partition(labels, k)
+    return Partition(_canonical_labels(labels, cent), k)
 
 
 def wcss_of(x, partition):

@@ -240,35 +240,27 @@ def log_grid(omega_min, omega_max, n_points):
     return np.logspace(np.log10(omega_min), np.log10(omega_max), n_points)
 
 
-def passivity_check(model, eta, grid_size, omega_min=1e-3):
-    """Numeric passivity/boundedness certificate on a log frequency grid.
+def passivity_check(model, grid):
+    """Numeric passivity/boundedness certificate on a frequency grid.
 
-    Sweeps ``omega in [omega_min, eta]`` (omega_min excludes a coupling pole
-    at the origin, e.g. f = 1/s) with at most ``grid_size`` points, targeting
-    200 points per decade. Raises NotPassiveOnGrid when some node has
-    Re(g(jw)) <= 0 on the grid and CouplingVanishes when the coupling
-    magnitude estimate drops below 1e-12.
+    Sweeps the points of ``grid`` (a FreqGrid on [omega_min, eta]; omega_min
+    excludes a coupling pole at the origin, e.g. f = 1/s). Raises
+    NotPassiveOnGrid when some node has Re(g(jw)) <= 0 on the grid and
+    CouplingVanishes when the coupling magnitude estimate drops below 1e-12.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    decades = np.log10(eta / omega_min)
-    n_points = int(min(grid_size, max(2, round(200 * decades))))
-    grid = log_grid(omega_min, eta, n_points)
-
+    points = np.asarray(grid.points, dtype=float)
     gamma = 0.0
     m_eta = 0.0
     for i, g in enumerate(model.nodes):
-        vals = np.array([tf_eval(g, 1j * w) for w in grid])
+        vals = np.array([tf_eval(g, 1j * w) for w in points])
         re = vals.real
         if np.any(re <= 0):
-            w_bad = grid[np.argmax(re <= 0)]
+            w_bad = points[np.argmax(re <= 0)]
             raise NotPassiveOnGrid(f"node {i}: Re(g(jw)) <= 0 at omega={w_bad:g}")
         gamma = max(gamma, float(np.max(np.abs(vals) ** 2 / re)))
         m_eta = max(m_eta, float(np.max(1.0 / np.abs(vals))))
 
-    f_vals = np.array([tf_eval(model.coupling, 1j * w) for w in grid])
+    f_vals = np.array([tf_eval(model.coupling, 1j * w) for w in points])
     f_lower = float(np.min(np.abs(f_vals)))
     if f_lower < 1e-12:
         raise CouplingVanishes(f"coupling magnitude {f_lower:g} below 1e-12 on grid")
@@ -279,8 +271,8 @@ def passivity_check(model, eta, grid_size, omega_min=1e-3):
         gamma=gamma,
         m_eta=m_eta,
         f_lower=f_lower,
-        eta=float(eta),
-        grid=grid,
+        eta=float(grid.eta),
+        grid=points,
         coupling_real_on_axis=real_on_axis,
         coupling_max_imag=max_imag,
     )

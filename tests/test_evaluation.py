@@ -5,6 +5,7 @@ from netreduce import (
     FreqGrid,
     NetworkModel,
     RationalTF,
+    SpectralData,
     aggregate_tf,
     band_error,
     bottom_k_eig,
@@ -13,7 +14,6 @@ from netreduce import (
     eval_t_yu,
     expected_laplacian,
     first_order_swing,
-    hinf_grid,
     laplacian,
     passivity_check,
     run_algorithm_1,
@@ -23,6 +23,7 @@ from netreduce import (
     theorem1_bound,
     tf_eval,
 )
+from netreduce import evaluation
 from netreduce.graphs import Partition
 from netreduce.reduction import ReducedModel, refine_embedding, reduced_laplacian
 
@@ -237,7 +238,7 @@ class TestBandError:
         part = reduced.partition
         res = refine_embedding(data, part)
         v_dist = float(np.linalg.norm(data.v_k - res.v_hat))
-        report = passivity_check(model, eta=10.0, grid_size=200)
+        report = passivity_check(model, FreqGrid.default(eta=10.0, n_points=200))
         budget = 2 * (report.gamma + report.gamma**2 * report.m_eta) * v_dist
         for w in (0.01, 0.5, 5.0):
             s = 1j * w
@@ -255,22 +256,37 @@ class TestBandError:
         assert all(len(r) == 5 for r in rows)
 
 
+def _decoupled_report(model, grid):
+    # L = 0: the trivial reduction with one block per node and l_k = 0
+    n = model.n
+    reduced = ReducedModel(
+        partition=Partition(np.arange(n), n),
+        lambda_k=np.zeros(n),
+        l_k=np.zeros((n, n)),
+        aggregates=tuple(aggregate_tf([g]) for g in model.nodes),
+        s_matrix=np.eye(n),
+        coupling=model.coupling,
+    )
+    return band_error(model, reduced, SpectralData(np.zeros(n), np.eye(n)), grid)
+
+
 class TestHinfGrid:
     def test_single_lag_peak_at_dc(self):
         d = 0.8
         g = first_order_swing(1.0, d)
         model = NetworkModel(nodes=[g, g], coupling=UNIT_GAIN, laplacian=np.zeros((2, 2)))
         grid = FreqGrid.default(eta=10.0, omega_min=1e-3, n_points=50)
-        val = hinf_grid(model, grid)
+        val = _decoupled_report(model, grid).hinf_t_yu
         assert val <= 1.0 / d + 1e-9
         assert val == pytest.approx(1.0 / d, rel=1e-3)
 
     def test_bounded_by_passivity_certificate(self, eq15_params):
         model, gamma = make_swing_model(eq15_params, seed=3)
         grid = FreqGrid.default(n_points=60)
-        assert hinf_grid(model, grid) <= gamma * (1 + 1e-6)
         reduced = run_algorithm_1(model, 3, seed=3)
-        assert hinf_grid(reduced, grid) <= gamma * (1 + 1e-6)
+        report = band_error(model, reduced, reduced.spectral, grid)
+        assert report.hinf_t_yu <= gamma * (1 + 1e-6)
+        assert report.hinf_t_hat_k <= gamma * (1 + 1e-6)
 
     def test_decoupled_diagonal_system(self):
         g1 = first_order_swing(1.0, 1.0)
@@ -280,4 +296,50 @@ class TestHinfGrid:
         expected = max(
             max(abs(tf_eval(g, 1j * w)) for w in grid.points) for g in (g1, g2)
         )
-        assert hinf_grid(model, grid) == pytest.approx(expected, rel=1e-12)
+        report = _decoupled_report(model, grid)
+        assert report.hinf_t_yu == pytest.approx(expected, rel=1e-12)
+        assert report.hinf_t_hat_k == pytest.approx(expected, rel=1e-12)
+
+    def test_rank_k_norms_match_dense(self, eq15_params, monkeypatch):
+        # ||T_k|| and ||T_hat_k|| are taken on k x k matrices inside
+        # band_error; they must equal the n x n spectral norms
+        model, _ = make_swing_model(eq15_params, seed=0)
+        reduced = run_algorithm_1(model, 3, seed=0)
+        seen_m1 = []
+
+        def record_m1(m1, m2, f_abs, lambda_k1):
+            seen_m1.append(m1)
+            return theorem1_bound(m1, m2, f_abs, lambda_k1)
+
+        monkeypatch.setattr(evaluation, "theorem1_bound", record_m1)
+        for w in (0.01, 0.5, 2.0):
+            grid = FreqGrid(eta=2.0 * w, omega_min=0.5 * w, points=np.array([w]))
+            report = band_error(model, reduced, reduced.spectral, grid)
+            t_k = eval_t_k(model, reduced.spectral, 1j * w)
+            t_hat = eval_t_hat_k(model, reduced, 1j * w)
+            assert seen_m1[-1] == pytest.approx(spectral_norm(t_k), rel=1e-12)
+            assert report.hinf_t_hat_k == pytest.approx(spectral_norm(t_hat), rel=1e-12)
+        assert len(seen_m1) == 3
+
+    def test_failed_frequency_is_a_gap(self):
+        # identical nodes 1/(s^2 + 1): at omega = 1 the inverse dynamics
+        # vanish, the loop matrix is f L and singular
+        g = RationalTF((1.0,), (1.0, 0.0, 1.0))
+        a = np.array(
+            [
+                [0, 5, 5, 0.1, 0, 0],
+                [5, 0, 5, 0, 0, 0],
+                [5, 5, 0, 0, 0, 0],
+                [0.1, 0, 0, 0, 5, 5],
+                [0, 0, 0, 5, 0, 5],
+                [0, 0, 0, 5, 5, 0],
+            ]
+        )
+        model = NetworkModel(nodes=[g] * 6, coupling=UNIT_GAIN, laplacian=laplacian(a))
+        reduced = run_algorithm_1(model, 2, seed=0)
+        grid = FreqGrid(eta=10.0, omega_min=0.1, points=np.array([0.1, 1.0, 10.0]))
+        report = band_error(model, reduced, reduced.spectral, grid)
+        assert [w for w, _ in report.failures] == [1.0]
+        assert [w for w, _ in report.per_freq] == [0.1, 10.0]
+        expected = max(spectral_norm(eval_t_yu(model, 1j * w)) for w in (0.1, 10.0))
+        assert report.hinf_t_yu == expected

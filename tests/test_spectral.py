@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,22 @@ class TestClusterEmbedding:
         perm = rng.permutation(x.shape[0])
         permuted = cluster_embedding(x[perm], 3, restarts=10, seed=7)
         np.testing.assert_array_equal(permuted.assignment, base.assignment[perm])
+
+    def test_labels_ignore_roundoff_in_the_kernel_column(self):
+        # a Laplacian embedding has a constant first column; roundoff of
+        # +-1e-16 in it per cluster must not permute the labels
+        rng = np.random.default_rng(3)
+        sizes = (10, 20, 10)
+        centers = ((-0.2, 0.1), (0.0, -0.15), (0.2, 0.1))
+        blocks = [rng.normal(c, 0.01, size=(m, 2)) for m, c in zip(sizes, centers)]
+        x = np.column_stack([np.full(sum(sizes), 1.0 / np.sqrt(sum(sizes))), np.vstack(blocks)])
+        base = cluster_embedding(x, 3, restarts=10, seed=0)
+        truth = np.repeat(np.arange(3), sizes)
+        for signs in itertools.product((-1, 0, 1), repeat=3):
+            y = x.copy()
+            y[:, 0] += np.array(signs)[truth] * 1e-16
+            found = cluster_embedding(y, 3, restarts=10, seed=0)
+            np.testing.assert_array_equal(found.assignment, base.assignment)
 
     def test_recovery_rate_on_sampled_graphs(self, eq15_params):
         true = eq15_params.true_partition()
