@@ -21,9 +21,9 @@ from .config import build_model, load_config
 from .errors import ConfigError, NetreduceError
 from .evaluation import FreqGrid, band_error
 from .graphs import expected_laplacian, laplacian, sample_adjacency
-from .io import config_hash, dump_json, fmt, write_matrix_csv, write_table_csv
+from .io import config_hash, dump_json, write_matrix_csv, write_table_csv
 from .reduction import run_algorithm_1
-from .simulate import broadcast_outputs, close_loop, compare_responses, realize_reduced, step_response
+from .simulate import close_loop, compare_responses, realize_reduced, step_response
 from .transfer import passivity_check
 
 BAND_NOTE = "band quantities computed on omega in [omega_min, eta]; omega=0 excluded (coupling pole)"
@@ -133,12 +133,16 @@ def cmd_simulate(config, out_dir):
         full = step_response(full_loop, sim.input_node, sim.t_end, sim.dt)
         group_in = int(reduced.partition.assignment[sim.input_node])
         red = step_response(red_loop, group_in, sim.t_end, sim.dt)
-        red_b = broadcast_outputs(red.outputs, reduced.partition)
 
         full_path = os.path.join(out_dir, f"full_seed{seed}.csv")
         red_path = os.path.join(out_dir, f"reduced_seed{seed}.csv")
         write_matrix_csv(full_path, np.column_stack([full.times, full.outputs]))
-        write_matrix_csv(red_path, np.column_stack([red.times, red_b]))
+        # node i repeats its group's aggregate column
+        write_matrix_csv(
+            red_path,
+            np.column_stack([red.times, red.outputs]),
+            columns=[0, *(reduced.partition.assignment + 1).tolist()],
+        )
         files += [os.path.basename(full_path), os.path.basename(red_path)]
 
         cmp_report = compare_responses(full, red, reduced.partition)

@@ -8,6 +8,7 @@ largest singular values from dense SVDs.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,10 @@ def eval_t_yu(model, s):
     n = model.n
     f = tf_eval(model.coupling, s)
     h = np.diag(_g_inverse_diag(model, s)) + f * model.laplacian.astype(complex)
-    lu, piv = scipy.linalg.lu_factor(h, check_finite=False)
+    with warnings.catch_warnings():
+        # an exactly singular h is reported by the rcond check below
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(h, check_finite=False)
     anorm = np.abs(h).sum(axis=0).max()
     rcond = scipy.linalg.lapack.zgecon(lu, anorm)[0]
     if rcond < 1e-12:

@@ -20,12 +20,28 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
-def write_matrix_csv(path, matrix):
-    """Dense matrix as CSV: one row per line, comma-separated."""
+def write_matrix_csv(path, matrix, columns=None):
+    """Dense matrix as CSV: one row per line, comma-separated.
+
+    Cells print as printf ``%.17g``, or ``%d`` for integer and bool dtypes:
+    the same text :func:`fmt` gives. A 1-D ``matrix`` is one row. With
+    ``columns``, a sequence of column indices that may repeat and come in
+    any order, line i holds ``matrix[i, columns]``; each cell of
+    ``matrix`` is still formatted once. Rows are formatted and written one
+    at a time, so no string holds the whole file.
+    """
     m = np.atleast_2d(np.asarray(matrix))
+    code = "%d" if m.dtype.kind in "biu" else "%.17g"
+    row = ",".join([code] * m.shape[1])
+    if columns is None:
+        row += "\n"
+        lines = (row % tuple(r.tolist()) for r in m)
+    else:
+        picked = np.arange(m.shape[1])[np.asarray(columns, dtype=int)]
+        line = ",".join(f"{{{c}}}" for c in picked.tolist()) + "\n"
+        lines = (line.format(*(row % tuple(r.tolist())).split(",")) for r in m)
     with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
 
 
 def read_matrix_csv(path):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from netreduce.cli import main
-from netreduce.config import config_from_dict, load_config
+from netreduce.config import build_model, config_from_dict, load_config
 from netreduce.errors import ConfigError
 from netreduce.io import read_matrix_csv
+from netreduce.reduction import run_algorithm_1
+from netreduce.simulate import realize_reduced, step_response
 
 from conftest import EQ15_Q, EQ15_SIZES, EQ15_W
 
@@ -211,6 +213,23 @@ class TestSimulate:
         np.testing.assert_allclose(full[:, 0], red[:, 0])  # shared time column
         summary = json.loads((out / "summary.json").read_text())
         assert summary["per_seed"]["0"]["input_node"] == 1
+
+        config = load_config(cfg)
+        model, _, _ = build_model(config, 0)
+        reduced = run_algorithm_1(model, config.k, seed=0, restarts=config.restarts)
+        assignment = reduced.partition.assignment
+        first = [int(np.flatnonzero(assignment == g)[0]) for g in range(reduced.k)]
+        # each node column repeats the text of its group's first member
+        for line in (out / "reduced_seed0.csv").read_text().splitlines():
+            cells = line.split(",")
+            assert cells[1:] == [cells[1 + first[g]] for g in assignment]
+        sim = config.sim
+        expected = step_response(
+            realize_reduced(reduced), int(assignment[sim.input_node]), sim.t_end, sim.dt
+        )
+        np.testing.assert_array_equal(red[:, 0], expected.times)
+        groups = red[:, [1 + j for j in first]]
+        np.testing.assert_allclose(groups, expected.outputs, rtol=1e-15, atol=0)
 
     def test_k1_identical_nodes_coherent_spread(self, tmp_path):
         # one tightly connected group of identical nodes: every member

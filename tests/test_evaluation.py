@@ -24,6 +24,7 @@ from netreduce import (
     tf_eval,
 )
 from netreduce import evaluation
+from netreduce.errors import NearSingular
 from netreduce.graphs import Partition
 from netreduce.reduction import ReducedModel, refine_embedding, reduced_laplacian
 
@@ -78,6 +79,15 @@ class TestEvalTyu:
         s = 0.4 + 1.7j
         t_conj = eval_t_yu(model, np.conj(s))
         np.testing.assert_allclose(t_conj, np.conj(eval_t_yu(model, s)), atol=1e-10)
+
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+    def test_exactly_singular_loop_matrix_raises_only_near_singular(self):
+        # nodes 1/(s^2 + 1) at s = j: G^-1 vanishes and the loop matrix is
+        # PATH2, whose LU has an exact zero pivot
+        g = RationalTF((1.0,), (1.0, 0.0, 1.0))
+        model = NetworkModel(nodes=[g, g], coupling=UNIT_GAIN, laplacian=PATH2)
+        with pytest.raises(NearSingular, match="rcond=0.00e"):
+            eval_t_yu(model, 1j)
 
 
 class TestEvalTk:
@@ -321,6 +331,7 @@ class TestHinfGrid:
             assert report.hinf_t_hat_k == pytest.approx(spectral_norm(t_hat), rel=1e-12)
         assert len(seen_m1) == 3
 
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
     def test_failed_frequency_is_a_gap(self):
         # identical nodes 1/(s^2 + 1): at omega = 1 the inverse dynamics
         # vanish, the loop matrix is f L and singular
