@@ -74,11 +74,11 @@ from .simulate import (
     ComparisonReport,
     SimResult,
     StateSpace,
-    aggregate_rational,
     broadcast_outputs,
     close_loop,
     compare_responses,
     realize,
+    realize_aggregate,
     realize_reduced,
     step_response,
 )
@@ -95,7 +95,6 @@ from .transfer import (
     NetworkModel,
     PassivityReport,
     RationalTF,
-    aggregate_tf,
     first_order_swing,
     log_grid,
     passivity_check,

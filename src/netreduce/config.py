@@ -122,6 +122,8 @@ def config_from_dict(doc):
                 RationalTF(t["num"], t["den"])
         except Exception as exc:
             raise ConfigError(f"config field 'nodes.tfs': {exc}") from exc
+        if len(tfs) != wsbm.n:
+            raise ConfigError(f"config field 'nodes.tfs': {len(tfs)} entries for {wsbm.n} nodes")
         nodes = {"preset": "explicit", "tfs": [dict(t) for t in tfs]}
     else:
         raise ConfigError("config field 'nodes.preset': expected 'swing' or 'explicit'")
@@ -152,6 +154,8 @@ def config_from_dict(doc):
         not isinstance(s, int) or s < 1 for s in scales
     ):
         raise ConfigError("config field 'scales': expected a nonempty list of positive integers")
+    if preset == "explicit" and scales != [1]:
+        raise ConfigError("config field 'scales': must be [1], since an explicit node list fixes n")
 
     restarts = int(_number(doc, "restarts", "", default=50, minimum=1))
 
@@ -191,6 +195,8 @@ def load_config(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config file '{path}' cannot be read: {exc.strerror}") from exc
     return config_from_dict(doc)
 
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .graphs import Partition
 from .spectral import SpectralData, bottom_k_eig, cluster_embedding, wcss_of
-from .transfer import AggregateEvaluator, RationalTF, aggregate_tf
+from .transfer import AggregateEvaluator, RationalTF
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +264,7 @@ def run_algorithm_1(model, k, seed=0, restarts=50):
 
     try:
         aggregates = tuple(
-            aggregate_tf([model.nodes[j] for j in idx]) for idx in partition.blocks()
+            AggregateEvaluator([model.nodes[j] for j in idx]) for idx in partition.blocks()
         )
     except Exception as exc:
         raise ReductionFailed("aggregation", str(exc)) from exc

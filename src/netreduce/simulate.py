@@ -5,7 +5,8 @@ samples their step responses through the exact zero-order-hold
 discretisation: with the input held constant, the sampled state obeys
 x_{j+1} = Phi x_j + Gamma with no truncation error. The reduced network is
 simulated in its own k-node form and compared to the full response after
-broadcasting through the partition.
+broadcasting through the partition; each aggregate node is realized from
+its members' inverses without multiplying their polynomials.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from numpy.polynomial import polynomial as npoly
 
-from .errors import Diverged, GridMismatch, IllPosed, ImproperTF
+from .errors import Diverged, GridMismatch, IllPosed, ImproperTF, ReductionFailed
 from .transfer import RationalTF
 
 
@@ -273,41 +273,38 @@ def compare_responses(full, reduced, partition):
     return ComparisonReport(per_node=per_node, per_group=per_group, full_l2=base)
 
 
-def aggregate_rational(members):
-    """Closed-form rational aggregate (sum_i 1/g_i)^-1 of a node group.
+def _split_inverse(g):
+    """1/g = q + r, q polynomial, r strictly proper; trims no coefficient, however small."""
+    num, rem = g.num, list(g.den)
+    p = len(num) - 1
+    q = np.zeros(len(rem) - p)
+    for j in reversed(range(q.size)):
+        q[j] = rem[j + p] / num[p]
+        for i in range(p + 1):
+            rem[j + i] -= q[j] * num[i]
+    return q, RationalTF(rem[:p], num)
 
-    Forms the exact polynomial fraction sum (members rescaled to monic
-    numerators to keep products well-scaled). Intended for realizing reduced
-    models at desk scale; the pointwise AggregateEvaluator remains the
-    evaluation contract elsewhere.
+
+def realize_aggregate(members):
+    """State space of the aggregate (sum_i 1/g_i)^-1 of a node group.
+
+    With each 1/g_i = q_i + r_i split by ``_split_inverse``, it is the loop
+    y = (1/Q)(u - R y) for Q = sum q_i and R = sum r_i, of order
+    deg Q + sum deg num_i: member polynomials are added, never multiplied.
+    Raises ReductionFailed when the leading coefficients of Q cancel.
     """
-    members = list(members)
-    if not members:
-        raise ValueError("aggregate of an empty group")
-    num_total = None  # running denominator of sum(den_i/num_i)
-    den_total = None  # running numerator of the sum
-    for g in members:
-        num = np.asarray(g.num, dtype=float)
-        den = np.asarray(g.den, dtype=float)
-        lead = num[np.nonzero(num)[0][-1]] if np.any(num) else None
-        if lead is None:
-            raise ValueError("aggregate member has zero numerator")
-        num = num / lead
-        den = den / lead
-        if num_total is None:
-            num_total, den_total = num, den
-        else:
-            den_total = npoly.polyadd(npoly.polymul(den_total, num), npoly.polymul(num_total, den))
-            num_total = npoly.polymul(num_total, num)
-    return RationalTF(num_total, den_total)
+    parts = [_split_inverse(g) for g in members]
+    q_sum = np.zeros(max(q.size for q, _ in parts))
+    for q, _ in parts:
+        q_sum[: q.size] += q
+    if abs(q_sum[-1]) <= 1e-12 * max(abs(q[-1]) for q, _ in parts if q.size == q_sum.size):
+        raise ReductionFailed("aggregation", f"member inverses cancel at s^{q_sum.size - 1}")
+    rem = block_diag_nodes([r for _, r in parts])
+    r_sum = StateSpace(rem.a, rem.b.sum(1, keepdims=True), rem.c.sum(0, keepdims=True), 0.0)
+    return close_loop([RationalTF((1.0,), q_sum)], r_sum, [[1.0]])
 
 
 def realize_reduced(reduced):
-    """Closed-loop state space of a reduced model (k aggregate nodes).
-
-    Aggregates are realized through their closed-form rational forms; the
-    frequency response of the result matches the evaluator-based reduced
-    transfer matrix wherever both are defined.
-    """
-    agg_tfs = [aggregate_rational(a.members) for a in reduced.aggregates]
-    return close_loop(agg_tfs, reduced.coupling, reduced.l_k)
+    """Closed-loop state space of a reduced model, each group by ``realize_aggregate``."""
+    aggregates = [realize_aggregate(a.members) for a in reduced.aggregates]
+    return close_loop(aggregates, reduced.coupling, reduced.l_k)

@@ -122,8 +122,8 @@ class AggregateEvaluator:
     """Pointwise evaluator of the harmonic aggregate of a node group.
 
     Evaluates ``(sum_i 1/g_i(s))^-1`` without forming a common denominator;
-    the evaluation-based representation is the contract. Callable and safe
-    to share across threads.
+    ``simulate.realize_aggregate`` is the state-space form of the same
+    members. Callable and safe to share across threads.
     """
 
     def __init__(self, members):
@@ -145,11 +145,6 @@ class AggregateEvaluator:
 
     def __len__(self):
         return len(self.members)
-
-
-def aggregate_tf(members):
-    """Build the aggregate-dynamics evaluator for a group of transfer functions."""
-    return AggregateEvaluator(members)
 
 
 def first_order_swing(m, d):

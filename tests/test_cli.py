@@ -69,6 +69,24 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, base_config(nodes={"preset": "explicit", "tfs": tfs})))
         assert cfg.nodes["preset"] == "explicit"
 
+    def test_explicit_node_count_must_match_n(self, tmp_path):
+        tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * 79
+        doc = base_config(nodes={"preset": "explicit", "tfs": tfs})
+        with pytest.raises(ConfigError, match="nodes.tfs.*79 entries for 80 nodes"):
+            load_config(write_config(tmp_path, doc))
+
+    def test_explicit_nodes_fix_the_scale(self, tmp_path):
+        tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * 80
+        doc = base_config(nodes={"preset": "explicit", "tfs": tfs}, scales=[1, 2])
+        with pytest.raises(ConfigError, match="'scales'"):
+            load_config(write_config(tmp_path, doc))
+
+    def test_missing_file_named(self, tmp_path):
+        path = str(tmp_path / "absent.json")
+        with pytest.raises(ConfigError, match="absent.json"):
+            load_config(path)
+        assert main(["reduce", "--config", path, "--out", str(tmp_path / "x")]) == 1
+
     def test_input_node_outside_network(self, tmp_path):
         doc = base_config(sim={"dt": 1e-3, "t_end": 3.0, "input_node": 80})
         with pytest.raises(ConfigError, match="sim.input_node"):
@@ -202,6 +220,15 @@ class TestSimulate:
         cfg = write_config(tmp_path, base_config(sim={"dt": 0.4, "t_end": 1.0, "input_node": 1}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         assert not (tmp_path / "x").exists()
+
+    def test_cancelling_group_exit_code(self, tmp_path, capsys):
+        # the members' inverses s + 1 and -(s + 1) sum to zero
+        tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * 10 + [{"num": [-1.0], "den": [1.0, 1.0]}] * 10
+        doc = base_config(k=1, nodes={"preset": "explicit", "tfs": tfs})
+        doc["wsbm"] = {"sizes": [20], "q": [[1.0]], "w": [[1e4]]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "ReductionFailed: stage 'aggregation'" in capsys.readouterr().err
 
     def test_eq15_step_response_files(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from netreduce import (
+    AggregateEvaluator,
     FreqGrid,
     NetworkModel,
     RationalTF,
     SpectralData,
-    aggregate_tf,
     band_error,
     bottom_k_eig,
     eval_t_hat_k,
@@ -115,7 +115,7 @@ class TestEvalTk:
         a = np.ones((n, n)) - np.eye(n)
         model = NetworkModel(nodes=[g] * n, coupling=UNIT_GAIN, laplacian=laplacian(a))
         data = bottom_k_eig(model.laplacian, 1)
-        agg = aggregate_tf(model.nodes)
+        agg = AggregateEvaluator(model.nodes)
         s = 0.7j
         t1 = eval_t_k(model, data, s)
         np.testing.assert_allclose(t1, agg(s) * np.ones((n, n)), rtol=1e-9)
@@ -138,7 +138,7 @@ class TestEvalTHatK:
     def test_k1_rank_one_form(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
         reduced = run_algorithm_1(model, 1, seed=0)
-        agg = aggregate_tf(model.nodes)
+        agg = AggregateEvaluator(model.nodes)
         s = 0.9j
         t_hat = eval_t_hat_k(model, reduced, s)
         np.testing.assert_allclose(t_hat, agg(s) * np.ones((model.n,) * 2), rtol=1e-9)
@@ -202,7 +202,7 @@ class TestBandError:
             partition=part,
             lambda_k=data.lambda_k,
             l_k=l_k,
-            aggregates=tuple(aggregate_tf([g]) for g in nodes),
+            aggregates=tuple(AggregateEvaluator([g]) for g in nodes),
             s_matrix=res.s_matrix,
             coupling=COUPLING_INTEGRATOR,
             lambda_next=None,
@@ -273,7 +273,7 @@ def _decoupled_report(model, grid):
         partition=Partition(np.arange(n), n),
         lambda_k=np.zeros(n),
         l_k=np.zeros((n, n)),
-        aggregates=tuple(aggregate_tf([g]) for g in model.nodes),
+        aggregates=tuple(AggregateEvaluator([g]) for g in model.nodes),
         s_matrix=np.eye(n),
         coupling=model.coupling,
     )

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from netreduce import (
+    AggregateEvaluator,
     DisconnectedGraph,
     KTooLarge,
     NetworkModel,
     Partition,
     ReducedModel,
     SingularS,
-    aggregate_tf,
     block_ideal_check,
     block_spectrum_oracle,
     bottom_k_eig,
@@ -239,7 +239,7 @@ class TestRunAlgorithm1:
         assert reduced.k == 1
         np.testing.assert_allclose(reduced.l_k, [[0.0]], atol=0.0)
         # T_hat_1 must be the rank-one aggregate ghat(s) * ones
-        agg = aggregate_tf(model.nodes)
+        agg = AggregateEvaluator(model.nodes)
         s = 0.3 + 0.7j
         t_hat = eval_t_hat_k(model, reduced, s)
         np.testing.assert_allclose(t_hat, agg(s) * np.ones((model.n, model.n)), rtol=1e-9)

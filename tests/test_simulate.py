@@ -2,24 +2,28 @@ import numpy as np
 import pytest
 
 from netreduce import (
+    AggregateEvaluator,
     Diverged,
     GridMismatch,
     IllPosed,
     NetworkModel,
     RationalTF,
-    aggregate_rational,
-    aggregate_tf,
+    ReducedModel,
+    ReductionFailed,
     broadcast_outputs,
     close_loop,
     compare_responses,
     eval_t_yu,
     first_order_swing,
     realize,
+    realize_aggregate,
     realize_reduced,
     run_algorithm_1,
     step_response,
     tf_eval,
 )
+from netreduce.config import build_model, config_from_dict
+from netreduce.evaluation import _t_hat_core
 from netreduce.simulate import SimResult, StateSpace, coupling_block
 
 from conftest import COUPLING_INTEGRATOR, make_swing_model
@@ -169,12 +173,41 @@ class TestStepResponse:
         assert sim.times[-1] == pytest.approx(0.3, rel=1e-12)
 
 
-class TestAggregateRational:
+def random_members(m, seed, order=2, time_scale=1.0):
+    """``m`` nodes num/den with deg den = order = deg num + 1, under s -> s / time_scale.
+
+    Both polynomials are monic with lower coefficients drawn from
+    [0.5, 1.5] (num) and [1, 3] (den); order 2 gives (s + a)/(s^2 + b s + c).
+    """
+    rng = np.random.default_rng(seed)
+    t = (1.0 / time_scale) ** np.arange(order + 1)
+    return [
+        RationalTF(
+            np.append(rng.uniform(0.5, 1.5, order - 1), 1.0) * t[:order],
+            np.append(rng.uniform(1.0, 3.0, order), 1.0) * t,
+        )
+        for _ in range(m)
+    ]
+
+
+def assert_matches_evaluator(members, points, rel=1e-12):
+    loop = realize_aggregate(members)
+    evaluator = AggregateEvaluator(members)
+    for s in points:
+        assert abs(loop.freq_response(s)[0, 0] - evaluator(s)) <= rel * abs(evaluator(s))
+
+
+BAND = 1j * np.logspace(-3, 1, 40)
+
+
+class TestRealizeAggregate:
     def test_swing_group_closed_form(self):
         # sum of 1/g for swing nodes is (sum m) s + (sum d)
         members = [first_order_swing(m, d) for m, d in ((1.0, 0.5), (2.0, 1.5), (1.5, 1.0))]
-        agg = aggregate_rational(members)
-        assert agg == RationalTF((1.0,), (3.0, 4.5))
+        agg = realize_aggregate(members)
+        expected = realize(RationalTF((1.0,), (3.0, 4.5)))
+        for name in ("a", "b", "c", "d"):
+            np.testing.assert_array_equal(getattr(agg, name), getattr(expected, name))
 
     def test_matches_pointwise_evaluator(self):
         members = [
@@ -182,20 +215,69 @@ class TestAggregateRational:
             first_order_swing(1.0, 1.0),
             RationalTF((1.0, 0.5), (1.0, 2.0, 1.0)),
         ]
-        rational = aggregate_rational(members)
-        pointwise = aggregate_tf(members)
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            s = complex(rng.uniform(0.1, 2), rng.uniform(-5, 5))
-            assert tf_eval(rational, s) == pytest.approx(pointwise(s), rel=1e-9)
+        points = [complex(rng.uniform(0.1, 2), rng.uniform(-5, 5)) for _ in range(20)]
+        assert_matches_evaluator(members, points)
 
     def test_large_group_stays_scaled(self):
         rng = np.random.default_rng(2)
         members = [first_order_swing(m, d) for m, d in zip(rng.uniform(1, 3, 160), rng.uniform(0.5, 1.5, 160))]
-        agg = aggregate_rational(members)
-        pointwise = aggregate_tf(members)
-        s = 0.3 + 0.9j
-        assert tf_eval(agg, s) == pytest.approx(pointwise(s), rel=1e-9)
+        assert_matches_evaluator(members, [0.3 + 0.9j, *BAND])
+
+    @pytest.mark.parametrize("m", [80, 160])
+    def test_large_second_order_group(self, m):
+        # one state per member remainder plus one for the summed s terms
+        members = random_members(m, seed=m)
+        assert realize_aggregate(members).dims == (m + 1, 1, 1)
+        assert_matches_evaluator(members, BAND)
+
+    def test_slow_members_keep_small_remainders(self):
+        # under s -> s / 1e-4 the s coefficient of each remainder is near
+        # 1e-8: a division that trims absolutely small coefficients drops it
+        members = random_members(20, seed=5, order=3, time_scale=1e-4)
+        assert_matches_evaluator(members, 1e-4 * BAND)
+
+    def test_relative_degree_two_members(self):
+        members = [RationalTF((100.0,), (20000.0, 300.0, 1.0)), *random_members(3, seed=6)]
+        assert_matches_evaluator(members, BAND)
+
+    def test_biproper_members(self):
+        members = [RationalTF((1.0, 1.0), (2.0, 1.0)), RationalTF((3.0, 1.0), (1.0, 1.0))]
+        assert_matches_evaluator(members, BAND)
+
+    def test_cancelling_leading_coefficients_rejected(self):
+        members = [RationalTF((1.0,), (1.0, 1.0)), RationalTF((1.0,), (2.0, -1.0))]
+        with pytest.raises(ReductionFailed, match="aggregation"):
+            realize_aggregate(members)
+
+
+class TestRealizeReduced:
+    @pytest.fixture(scope="class")
+    def large_groups(self):
+        doc = {
+            "wsbm": {"sizes": [80, 160], "q": [[0.8, 0.05], [0.05, 0.8]], "w": [[20, 0.5], [0.5, 20]]},
+            "nodes": {"preset": "explicit", "tfs": [g.to_dict() for g in random_members(240, seed=9)]},
+            "coupling": {"num": [1.0], "den": [0.0, 1.0]},
+            "k": 2,
+            "eta": 10.0,
+        }
+        model, _, _ = build_model(config_from_dict(doc), seed=0)
+        return model, run_algorithm_1(model, 2, seed=0, restarts=5)
+
+    def test_large_explicit_groups_match_reduced_core(self, large_groups):
+        model, reduced = large_groups
+        assert sorted(reduced.partition.sizes) == [80, 160]
+        loop = realize_reduced(reduced)
+        for s in BAND:
+            core = _t_hat_core(reduced, tf_eval(model.coupling, s), s)
+            assert np.abs(loop.freq_response(s) - core).max() <= 1e-10 * np.abs(core).max()
+
+    def test_serialized_model_realizes_identically(self, large_groups):
+        _, reduced = large_groups
+        loop = realize_reduced(reduced)
+        again = realize_reduced(ReducedModel.from_dict(reduced.to_dict()))
+        for name in ("a", "b", "c", "d"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(loop, name))
 
 
 class TestCompareResponses:

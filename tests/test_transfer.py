@@ -13,7 +13,6 @@ from netreduce import (
     PoleAtS,
     RationalTF,
     ZeroNumerator,
-    aggregate_tf,
     first_order_swing,
     passivity_check,
     tf_eval,
@@ -101,24 +100,24 @@ class TestAggregate:
     def test_identical_members_harmonic_sum(self):
         g = RationalTF((1.0,), (1.0, 1.0))
         for m in (1, 3, 7):
-            agg = aggregate_tf([g] * m)
+            agg = AggregateEvaluator([g] * m)
             for s in (0.0, 1j, 0.3 + 2j):
                 assert agg(s) == pytest.approx(tf_eval(g, s) / m, rel=1e-10)
 
     def test_singleton_equals_member(self):
         g = RationalTF((2.0, 1.0), (2.0, 3.0, 1.0))
-        agg = aggregate_tf([g])
+        agg = AggregateEvaluator([g])
         for s in (0.5j, 1 + 1j, 2.0):
             assert agg(s) == pytest.approx(tf_eval(g, s), rel=1e-12)
 
     def test_two_member_dc_value(self):
         # oracle: explicit sum of inverses at s=0 is 1 + 2, so ghat = 1/3
-        agg = aggregate_tf([RationalTF((1.0,), (1.0, 1.0)), RationalTF((1.0,), (2.0, 1.0))])
+        agg = AggregateEvaluator([RationalTF((1.0,), (1.0, 1.0)), RationalTF((1.0,), (2.0, 1.0))])
         assert agg(0.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_zero_numerator_rejected(self):
         with pytest.raises(ZeroNumerator):
-            aggregate_tf([RationalTF((0.0,), (1.0, 1.0))])
+            AggregateEvaluator([RationalTF((0.0,), (1.0, 1.0))])
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
