@@ -30,6 +30,7 @@ from .errors import (
     IllPosed,
     ImproperTF,
     KTooLarge,
+    ModelMismatch,
     NearSingular,
     NetreduceError,
     NotOrthonormal,

@@ -92,7 +92,7 @@ def cmd_evaluate(config, out_dir):
     files = []
     for seed in config.seeds:
         model, reduced, doc = _reduce_one(config, seed)
-        report = band_error(model, reduced, reduced.spectral, grid)
+        report = band_error(model, reduced, reduced.spectral, grid, hinf=True)
         path = os.path.join(out_dir, f"band_seed{seed}.csv")
         write_table_csv(
             path,
@@ -192,7 +192,15 @@ def _experiment_cell(args):
             "refine_objective": reduced.refine_objective,
         }
     except Exception as exc:
-        return {"scale": scale, "n": None, "seed": seed, "status": f"failed: {exc}"}
+        return {
+            "scale": scale,
+            "n": None,
+            "seed": seed,
+            "status": "failed",
+            "error_type": type(exc).__name__,
+            "stage": getattr(exc, "stage", ""),
+            "message": str(exc),
+        }
 
 
 def cmd_experiment(config, out_dir, jobs=None):
@@ -206,23 +214,28 @@ def cmd_experiment(config, out_dir, jobs=None):
 
     header = [
         "scale", "n", "seed", "status", "sup_err", "clustering_success",
-        "concentration", "lambda_k1", "refine_objective",
+        "concentration", "lambda_k1", "refine_objective", "error_type", "stage",
     ]
     rows = []
+    failures = []
     for r in results:
         if r["status"] == "ok":
             rows.append(
                 (
                     r["scale"], r["n"], r["seed"], "ok", r["sup_err"],
                     int(r["clustering_success"]), r["concentration"],
-                    r["lambda_k1"], r["refine_objective"],
+                    r["lambda_k1"], r["refine_objective"], "", "",
                 )
             )
         else:
-            rows.append((r["scale"], "", r["seed"], r["status"].replace(",", ";"), "", "", "", "", ""))
+            empty = ("",) * 5
+            rows.append((r["scale"], "", r["seed"], "failed", *empty, r["error_type"], r["stage"]))
+            failures.append(
+                {key: r[key] for key in ("scale", "seed", "error_type", "stage", "message")}
+            )
     write_table_csv(os.path.join(out_dir, "experiment.csv"), header, rows)
 
-    summary = {"per_scale": {}, "failed_cells": sum(1 for r in results if r["status"] != "ok")}
+    summary = {"per_scale": {}, "failed_cells": len(failures), "failures": failures}
     ns, med_conc = [], []
     for scale in config.scales:
         ok = [r for r in results if r["scale"] == scale and r["status"] == "ok"]

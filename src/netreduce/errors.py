@@ -69,6 +69,10 @@ class GridMismatch(NetreduceError):
     """Two simulation results do not share the same time grid."""
 
 
+class ModelMismatch(NetreduceError):
+    """Full model, reduced model and eigendata describe different networks."""
+
+
 class ConfigError(NetreduceError):
     """Experiment configuration is invalid; message names the field path."""
 

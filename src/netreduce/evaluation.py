@@ -2,8 +2,11 @@
 
 Evaluates the closed-loop transfer matrix, its rank-k spectral truncation,
 and the structure-preserving reduced form; computes the per-frequency
-truncation-error bound and band-wise error reports. All spectral norms are
-largest singular values from dense SVDs.
+truncation-error bound and band-wise error reports. Spectral norms are
+largest singular values from SVDs: dense n x n ones for the differences
+against T_yu and for ||T_yu|| itself, and small ones (k x k or at most
+2k x 2k) for every quantity whose rows and columns lie in a known
+low-dimensional subspace.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import NearSingular
-from .transfer import log_grid, tf_eval
+from .errors import ModelMismatch, NearSingular, NetreduceError, PoleAtS
+from .transfer import log_grid, node_values, tf_eval
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,20 +41,33 @@ class FreqGrid:
         return cls(eta=eta, omega_min=omega_min, points=log_grid(omega_min, eta, n_points))
 
 
-def _g_inverse_diag(model, s):
-    return np.array([g.inverse_at(s) for g in model.nodes])
+def _g_inverse(nodes, s):
+    """G^-1 at the points ``s`` as an (F, n) array, and the (F,) pole mask."""
+    num, den, pole = node_values(nodes, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return den / num, pole
 
 
-def eval_t_yu(model, s):
+def _g_inverse_at(model, s):
+    ginv, pole = _g_inverse(model.nodes, [s])
+    if pole[0]:
+        raise PoleAtS(f"inverse dynamics has a pole at s={s}")
+    return ginv[0]
+
+
+def eval_t_yu(model, s, ginv=None):
     """Closed-loop transfer matrix at ``s`` via (G^-1(s) + f(s) L)^-1.
 
     Solved by complex LU with partial pivoting applied to the identity;
     raises NearSingular when the reciprocal condition estimate of the loop
-    matrix falls below 1e-12.
+    matrix falls below 1e-12. ``ginv`` is the diagonal of G^-1(s) when the
+    caller has it already.
     """
     n = model.n
+    if ginv is None:
+        ginv = _g_inverse_at(model, s)
     f = tf_eval(model.coupling, s)
-    h = np.diag(_g_inverse_diag(model, s)) + f * model.laplacian.astype(complex)
+    h = np.diag(ginv) + f * model.laplacian.astype(complex)
     with warnings.catch_warnings():
         # an exactly singular h is reported by the rcond check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -63,11 +79,15 @@ def eval_t_yu(model, s):
     return scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=complex), check_finite=False)
 
 
-def eval_t_k(model, data, s):
-    """Rank-k truncation V_k (V_k^T G^-1(s) V_k + f(s) Lambda_k)^-1 V_k^T."""
+def eval_t_k(model, data, s, ginv=None):
+    """Rank-k truncation V_k (V_k^T G^-1(s) V_k + f(s) Lambda_k)^-1 V_k^T.
+
+    ``ginv`` is the diagonal of G^-1(s) when the caller has it already.
+    """
     v = data.v_k
+    if ginv is None:
+        ginv = _g_inverse_at(model, s)
     f = tf_eval(model.coupling, s)
-    ginv = _g_inverse_diag(model, s)
     core = (v.T * ginv) @ v + f * np.diag(data.lambda_k)
     try:
         x = np.linalg.solve(core, v.T.astype(complex))
@@ -76,19 +96,22 @@ def eval_t_k(model, data, s):
     return v @ x
 
 
-def eval_t_hat_k(model, reduced, s):
+def eval_t_hat_k(model, reduced, s, ghat=None):
     """Reduced-network transfer matrix P (I + G_hat L_k f)^-1 G_hat P^T.
 
-    Aggregate dynamics are evaluated pointwise; the k x k loop is solved
-    and the result broadcast back to node level through the partition.
+    Aggregate dynamics are evaluated pointwise unless ``ghat``, their values
+    at ``s``, is given; the k x k loop is solved and the result broadcast
+    back to node level through the partition.
     """
     f = tf_eval(model.coupling if model is not None else reduced.coupling, s)
-    return _t_hat_core(reduced, f, s)[reduced.partition.assignment][:, reduced.partition.assignment]
+    assign = reduced.partition.assignment
+    return _t_hat_core(reduced, f, s, ghat)[assign][:, assign]
 
 
-def _t_hat_core(reduced, f, s):
+def _t_hat_core(reduced, f, s, ghat=None):
     k = reduced.k
-    ghat = np.array([agg(s) for agg in reduced.aggregates])
+    if ghat is None:
+        ghat = np.array([agg(s) for agg in reduced.aggregates])
     loop = np.eye(k, dtype=complex) + (ghat[:, None] * reduced.l_k) * f
     rhs = np.diag(ghat)
     try:
@@ -126,10 +149,10 @@ class ErrorReport:
     ``bounds`` the per-frequency truncation bound (None where its
     precondition fails). ``hinf_t_yu`` and ``hinf_t_hat_k`` are grid
     estimates of the H-infinity norms of T_yu and T_hat_k (the largest
-    spectral norm over the grid); sampling estimates never exceed the true
-    norm of a stable system. Frequencies whose evaluation failed are
-    recorded in ``failures`` and leave gaps in per_freq and in both
-    H-infinity estimates.
+    spectral norm over the grid), or None when they were not requested;
+    sampling estimates never exceed the true norm of a stable system.
+    Frequencies whose evaluation failed are recorded in ``failures`` and
+    leave gaps in per_freq and in both H-infinity estimates.
     """
 
     per_freq: tuple
@@ -140,8 +163,8 @@ class ErrorReport:
     failures: tuple = ()
     err_struct: tuple = ()
     sup_struct: float = 0.0
-    hinf_t_yu: float = 0.0
-    hinf_t_hat_k: float = 0.0
+    hinf_t_yu: float | None = None
+    hinf_t_hat_k: float | None = None
 
     def __post_init__(self):
         if self.per_freq:
@@ -157,7 +180,15 @@ class ErrorReport:
         return out
 
 
-def band_error(model, reduced, data, grid):
+def _check_shapes(model, reduced, data):
+    sizes = {"model": model.n, "reduced": reduced.n, "eigendata": data.v_k.shape[0]}
+    if len(set(sizes.values())) > 1:
+        raise ModelMismatch(f"node counts differ: {sizes}")
+    if reduced.k != data.k:
+        raise ModelMismatch(f"reduced model has k={reduced.k}, eigendata k={data.k}")
+
+
+def band_error(model, reduced, data, grid, hinf=False):
     """Frequency-band error report between the full and reduced networks.
 
     At each grid frequency computes ||T_yu - T_hat_k|| and ||T_yu - T_k||
@@ -165,49 +196,73 @@ def band_error(model, reduced, data, grid):
     per-frequency constants M1 = ||T_k(jw)||, M2 = max_i |1/g_i(jw)| and
     the (k+1)-th Laplacian eigenvalue. ``bound_satisfied`` is the
     conjunction of ||T_yu - T_k|| <= bound + 1e-7 (1 + bound) over feasible
-    frequencies. Per-frequency failures are recorded, not fatal.
+    frequencies. Frequencies where the loop is near singular or some node
+    or aggregate has a pole are recorded as failures, not fatal; inputs of
+    different networks raise ModelMismatch.
 
-    The rank-k norms are taken on k x k matrices: ||T_k|| = ||V_k^T T_k V_k||
-    because V_k is orthonormal, and ||T_hat_k|| = ||D X D|| with X the
-    reduced core (one representative row and column per block) and
-    D = diag(sqrt(n_i)), because the block indicator is Q D with Q
-    orthonormal.
+    The two differences against T_yu take dense n x n SVDs. The other norms
+    are exact but small: ||T_k|| = ||V_k^T T_k V_k|| because V_k is
+    orthonormal; ||T_hat_k|| = ||D C D|| with C the reduced core (one
+    representative row and column per block) and D = diag(sqrt(n_i)),
+    because the block indicator P is an orthonormal matrix times D; and
+    ||T_k - T_hat_k|| = ||Q^T (T_k - T_hat_k) Q|| with Q an orthonormal
+    basis of [V_k | P], which holds the rows and columns of both terms.
+    ``hinf_t_yu`` and ``hinf_t_hat_k`` are filled only when ``hinf`` is
+    true: ||T_yu|| is a third dense SVD per frequency.
     """
+    _check_shapes(model, reduced, data)
     lam_next = data.lambda_next
     v = data.v_k
-    reps = np.unique(reduced.partition.assignment, return_index=True)[1]
+    assign = reduced.partition.assignment
+    reps = np.unique(assign, return_index=True)[1]
     root_sizes = np.sqrt(reduced.partition.sizes)
-    hinf_yu = hinf_hat = 0.0
+    p = np.eye(reduced.k)[assign]
+    q = np.linalg.qr(np.hstack([v, p]))[0]
+    q_v, q_p = q.T @ v, q.T @ p
+    points = np.asarray(grid.points, dtype=float)
+    ginv, node_pole = _g_inverse(model.nodes, 1j * points)
+    m2 = np.abs(ginv).max(axis=1)
+    ghat = np.empty((points.size, reduced.k), dtype=complex)
+    agg_pole = np.zeros(points.size, dtype=bool)
+    for j, agg in enumerate(reduced.aggregates):
+        ghat[:, j], pole = agg.over(1j * points)
+        agg_pole |= pole
+    hinf_yu = hinf_hat = 0.0 if hinf else None
     per_freq = []
     err_tk = []
     err_struct = []
     bounds = []
     failures = []
     bound_ok = True
-    for w in np.asarray(grid.points, dtype=float):
+    for i, w in enumerate(points):
         s = 1j * w
         try:
-            t_yu = eval_t_yu(model, s)
-            t_k = eval_t_k(model, data, s)
-            t_hat = eval_t_hat_k(model, reduced, s)
-        except Exception as exc:  # recorded as a gap
+            if node_pole[i]:
+                raise PoleAtS(f"inverse dynamics has a pole at s={s}")
+            if agg_pole[i]:
+                raise PoleAtS(f"aggregate has a pole at s={s}")
+            t_yu = eval_t_yu(model, s, ginv[i])
+            t_k = eval_t_k(model, data, s, ginv[i])
+            t_hat = eval_t_hat_k(model, reduced, s, ghat[i])
+        except NetreduceError as exc:  # recorded as a gap
             failures.append((float(w), str(exc)))
             continue
         err = spectral_norm(t_yu - t_hat)
         etk = spectral_norm(t_yu - t_k)
-        m1 = spectral_norm(v.T @ t_k @ v)
-        m2 = float(np.abs(_g_inverse_diag(model, s)).max())
+        x = v.T @ t_k @ v
+        c = t_hat[np.ix_(reps, reps)]
+        m1 = spectral_norm(x)
         f_abs = abs(tf_eval(model.coupling, s))
-        bd = None if lam_next is None else theorem1_bound(m1, m2, f_abs, lam_next)
+        bd = None if lam_next is None else theorem1_bound(m1, float(m2[i]), f_abs, lam_next)
         if bd is not None and etk > bd + 1e-7 * (1.0 + bd):
             bound_ok = False
         per_freq.append((float(w), err))
         err_tk.append(etk)
-        err_struct.append(spectral_norm(t_k - t_hat))
+        err_struct.append(spectral_norm(q_v @ x @ q_v.T - q_p @ c @ q_p.T))
         bounds.append(bd)
-        hinf_yu = max(hinf_yu, spectral_norm(t_yu))
-        core = t_hat[np.ix_(reps, reps)]
-        hinf_hat = max(hinf_hat, spectral_norm(root_sizes[:, None] * core * root_sizes))
+        if hinf:
+            hinf_yu = max(hinf_yu, spectral_norm(t_yu))
+            hinf_hat = max(hinf_hat, spectral_norm(root_sizes[:, None] * c * root_sizes))
     sup_err = max((e for _, e in per_freq), default=0.0)
     return ErrorReport(
         per_freq=tuple(per_freq),
@@ -221,4 +276,3 @@ def band_error(model, reduced, data, grid):
         hinf_t_yu=hinf_yu,
         hinf_t_hat_k=hinf_hat,
     )
-

@@ -118,8 +118,38 @@ def tf_eval(tf, s):
     return _polyval(tf.num, s) / dv
 
 
+def _padded(polys):
+    polys = list(polys)
+    width = max(map(len, polys))
+    return np.array([p + (0.0,) * (width - len(p)) for p in polys])
+
+
+def _horner(coeffs, s):
+    """(F, n) values at the F points ``s`` of the n ascending rows of ``coeffs``."""
+    acc = np.zeros((s.size, coeffs.shape[0]), dtype=complex)
+    for col in coeffs.T[::-1]:
+        acc = acc * s[:, None] + col
+    return acc
+
+
+def node_values(tfs, s):
+    """Numerators and denominators of ``tfs`` at the points ``s``, all at once.
+
+    Returns (num, den, pole): num and den are (F, n) arrays of num_i(s_f) and
+    den_i(s_f), evaluated by Horner's rule over zero-padded coefficients
+    (bit-equal to the scalar rule); pole is the (F,) mask of points where
+    some inverse 1/g_i has a pole, |num_i(s)| <= 1e-14 max|num_i coeffs|,
+    the rule of :meth:`RationalTF.inverse_at`.
+    """
+    s = np.asarray(s, dtype=complex).reshape(-1)
+    num_c = _padded([g.num for g in tfs])
+    num = _horner(num_c, s)
+    pole = (np.abs(num) <= 1e-14 * np.abs(num_c).max(axis=1)).any(axis=1)
+    return num, _horner(_padded([g.den for g in tfs]), s), pole
+
+
 class AggregateEvaluator:
-    """Pointwise evaluator of the harmonic aggregate of a node group.
+    """Evaluator of the harmonic aggregate of a node group.
 
     Evaluates ``(sum_i 1/g_i(s))^-1`` without forming a common denominator;
     ``simulate.realize_aggregate`` is the state-space form of the same
@@ -135,13 +165,22 @@ class AggregateEvaluator:
                 raise ZeroNumerator(f"member {i} has zero numerator; inverse undefined")
         self.members = members
 
+    def over(self, s):
+        """Aggregate values at the points ``s`` and the mask of its poles there.
+
+        A point is a pole when some member inverse has one or the sum of
+        inverses vanishes; the value returned there is not to be used.
+        """
+        num, den, pole = node_values(self.members, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = (den / num).sum(axis=1)
+            return 1.0 / total, pole | (total == 0)
+
     def __call__(self, s):
-        total = 0j
-        for g in self.members:
-            total += g.inverse_at(s)
-        if total == 0:
+        val, pole = self.over([s])
+        if pole[0]:
             raise PoleAtS(f"aggregate has a pole at s={s}")
-        return 1.0 / total
+        return complex(val[0])
 
     def __len__(self):
         return len(self.members)
@@ -244,16 +283,21 @@ def passivity_check(model, grid):
     CouplingVanishes when the coupling magnitude estimate drops below 1e-12.
     """
     points = np.asarray(grid.points, dtype=float)
-    gamma = 0.0
-    m_eta = 0.0
-    for i, g in enumerate(model.nodes):
-        vals = np.array([tf_eval(g, 1j * w) for w in points])
-        re = vals.real
-        if np.any(re <= 0):
-            w_bad = points[np.argmax(re <= 0)]
-            raise NotPassiveOnGrid(f"node {i}: Re(g(jw)) <= 0 at omega={w_bad:g}")
-        gamma = max(gamma, float(np.max(np.abs(vals) ** 2 / re)))
-        m_eta = max(m_eta, float(np.max(1.0 / np.abs(vals))))
+    num, den, _ = node_values(model.nodes, 1j * points)
+    den_tol = 1e-14 * np.array([max(abs(c) for c in g.den) for g in model.nodes])
+    near_pole = np.abs(den) <= den_tol  # the pole rule of tf_eval
+    if near_pole.any():
+        i = int(np.argmax(near_pole.any(axis=0)))
+        w_bad = points[np.argmax(near_pole[:, i])]
+        raise PoleAtS(f"node {i}: evaluation at or near a pole: s={1j * w_bad}")
+    vals = num / den
+    re = vals.real
+    if np.any(re <= 0):
+        i = int(np.argmax((re <= 0).any(axis=0)))
+        w_bad = points[np.argmax(re[:, i] <= 0)]
+        raise NotPassiveOnGrid(f"node {i}: Re(g(jw)) <= 0 at omega={w_bad:g}")
+    gamma = float(np.max(np.abs(vals) ** 2 / re))
+    m_eta = float(np.max(1.0 / np.abs(vals)))
 
     f_vals = np.array([tf_eval(model.coupling, 1j * w) for w in points])
     f_lower = float(np.min(np.abs(f_vals)))

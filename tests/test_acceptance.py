@@ -204,7 +204,7 @@ class TestCriterion5:
         for seed in range(20):
             model, gamma = make_swing_model(eq15_params, seed)
             reduced = run_algorithm_1(model, 3, seed=seed)
-            report = band_error(model, reduced, reduced.spectral, grid)
+            report = band_error(model, reduced, reduced.spectral, grid, hinf=True)
             h_full, h_red = report.hinf_t_yu, report.hinf_t_hat_k
             worst_ratio = max(worst_ratio, h_full / gamma, h_red / gamma)
         ok = worst_ratio <= 1 + 1e-6

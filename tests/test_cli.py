@@ -298,6 +298,64 @@ class TestExperiment:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["per_scale"]["1"]["ok_seeds"] == 1
 
+    def _failed_run(self, tmp_path, doc):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+        with open(out / "experiment.csv") as fh:
+            header, *rows = [ln.split(",") for ln in fh.read().splitlines() if ln]
+        table = [dict(zip(header, row)) for row in rows]
+        return table, json.loads((out / "summary.json").read_text())
+
+    def test_failed_cells_are_structured(self, tmp_path):
+        # blocks without cross edges: every cell fails before any stage
+        doc = base_config(grid_size=10, seeds=[0, 1])
+        doc["wsbm"]["q"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        table, summary = self._failed_run(tmp_path, doc)
+        assert [(r["status"], r["error_type"], r["stage"]) for r in table] == [
+            ("failed", "DisconnectedGraph", "")
+        ] * 2
+        assert summary["failed_cells"] == 2
+        assert [(f["seed"], f["error_type"], f["stage"]) for f in summary["failures"]] == [
+            (0, "DisconnectedGraph", ""),
+            (1, "DisconnectedGraph", ""),
+        ]
+        assert summary["failures"][0]["message"].startswith("graph is disconnected (lambda_2=")
+
+    def test_failed_stage_and_message_kept(self, tmp_path):
+        doc = base_config(grid_size=10)
+        doc["wsbm"] = {"sizes": [3, 3, 3], "q": [[1.0] * 3] * 3, "w": EQ15_W}
+        tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * 9
+        tfs[4] = {"num": [0.0], "den": [1.0, 1.0]}
+        doc["nodes"] = {"preset": "explicit", "tfs": tfs}
+        table, summary = self._failed_run(tmp_path, doc)
+        assert table == [
+            {
+                "scale": "1", "n": "", "seed": "0", "status": "failed", "sup_err": "",
+                "clustering_success": "", "concentration": "", "lambda_k1": "",
+                "refine_objective": "", "error_type": "ReductionFailed", "stage": "aggregation",
+            }
+        ]
+        assert summary["failures"] == [
+            {
+                "scale": 1,
+                "seed": 0,
+                "error_type": "ReductionFailed",
+                "stage": "aggregation",
+                "message": "stage 'aggregation': member 1 has zero numerator; inverse undefined",
+            }
+        ]
+
+    def test_ok_rows_leave_failure_columns_empty(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(grid_size=10))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+        with open(out / "experiment.csv") as fh:
+            header, row = [ln.split(",") for ln in fh.read().splitlines() if ln]
+        cells = dict(zip(header, row))
+        assert cells["status"] == "ok" and cells["error_type"] == cells["stage"] == ""
+        assert json.loads((out / "summary.json").read_text())["failures"] == []
+
     def test_deterministic_graph_zero_concentration(self, tmp_path):
         doc = base_config(grid_size=25)
         doc["wsbm"]["q"] = [[1.0] * 3] * 3

@@ -24,7 +24,7 @@ from netreduce import (
     tf_eval,
 )
 from netreduce import evaluation
-from netreduce.errors import NearSingular
+from netreduce.errors import ModelMismatch, NearSingular
 from netreduce.graphs import Partition
 from netreduce.reduction import ReducedModel, refine_embedding, reduced_laplacian
 
@@ -256,6 +256,43 @@ class TestBandError:
             t_hat = eval_t_hat_k(model, reduced, s)
             assert spectral_norm(t_k - t_hat) <= budget + 1e-6
 
+    def test_inputs_of_different_networks_raise(self, eq15_params):
+        # a reduction of the n = 80 network must not report on the n = 160 one
+        small, _ = make_swing_model(eq15_params, seed=0)
+        large, _ = make_swing_model(eq15_params.scaled(2), seed=0)
+        reduced = run_algorithm_1(small, 3, seed=0)
+        grid = FreqGrid.default(n_points=20)
+        with pytest.raises(ModelMismatch, match="node counts differ"):
+            band_error(large, reduced, reduced.spectral, grid)
+        with pytest.raises(ModelMismatch, match="k=3, eigendata k=4"):
+            band_error(small, reduced, bottom_k_eig(small.laplacian, 4), grid)
+
+    def test_programming_error_propagates(self, eq15_params, monkeypatch):
+        # only typed evaluation failures become gaps
+        model, _ = make_swing_model(eq15_params, seed=0)
+        reduced = run_algorithm_1(model, 3, seed=0)
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken kernel")
+
+        monkeypatch.setattr(evaluation, "eval_t_k", broken)
+        with pytest.raises(ValueError, match="broken kernel"):
+            band_error(model, reduced, reduced.spectral, FreqGrid.default(n_points=5))
+
+    def test_pole_of_a_node_inverse_is_a_gap(self):
+        # (s^2 + 1)/(s + 1)^2 vanishes at s = j, so its inverse has a pole
+        notch = RationalTF((1.0, 0.0, 1.0), (1.0, 2.0, 1.0))
+        nodes = [notch] + [first_order_swing(1.0, 1.0)] * 5
+        # two heavy triangles joined by one light edge
+        a = np.kron(np.eye(2), 5.0 * (1 - np.eye(3)))
+        a[0, 3] = a[3, 0] = 0.1
+        model = NetworkModel(nodes=nodes, coupling=UNIT_GAIN, laplacian=laplacian(a))
+        reduced = run_algorithm_1(model, 2, seed=0)
+        grid = FreqGrid(eta=10.0, omega_min=0.1, points=np.array([0.1, 1.0, 10.0]))
+        report = band_error(model, reduced, reduced.spectral, grid)
+        assert report.failures == ((1.0, "inverse dynamics has a pole at s=1j"),)
+        assert [w for w, _ in report.per_freq] == [0.1, 10.0]
+
     def test_csv_rows_shape(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
         reduced = run_algorithm_1(model, 3, seed=0)
@@ -264,6 +301,64 @@ class TestBandError:
         rows = report.rows()
         assert len(rows) == 10
         assert all(len(r) == 5 for r in rows)
+
+
+def _misclustered(model, data):
+    # labels i mod 3 cut across the true blocks
+    part = Partition(np.arange(model.n) % 3, 3)
+    res = refine_embedding(data, part)
+    return ReducedModel(
+        partition=part,
+        lambda_k=data.lambda_k,
+        l_k=reduced_laplacian(res.s_matrix, data.lambda_k),
+        aggregates=tuple(AggregateEvaluator([model.nodes[j] for j in b]) for b in part.blocks()),
+        s_matrix=res.s_matrix,
+        coupling=model.coupling,
+    )
+
+
+class TestBandErrorNorms:
+    @pytest.mark.parametrize("misclustered", [False, True])
+    def test_projected_structure_gap_matches_dense(self, eq15_params, misclustered):
+        model, _ = make_swing_model(eq15_params, seed=0)
+        reduced = run_algorithm_1(model, 3, seed=0)
+        data = reduced.spectral
+        if misclustered:
+            reduced = _misclustered(model, data)
+        grid = FreqGrid.default(n_points=15)
+        report = band_error(model, reduced, data, grid)
+        for w, got in zip(grid.points, report.err_struct):
+            t_k = eval_t_k(model, data, 1j * w)
+            dense = spectral_norm(t_k - eval_t_hat_k(model, reduced, 1j * w))
+            assert abs(got - dense) <= 1e-13 * spectral_norm(t_k)
+        if misclustered:
+            assert report.sup_struct > 0.5
+
+    @pytest.mark.parametrize("hinf, per_freq", [(False, 2), (True, 3)])
+    def test_dense_svds_per_frequency(self, eq15_params, monkeypatch, hinf, per_freq):
+        model, _ = make_swing_model(eq15_params, seed=0)
+        reduced = run_algorithm_1(model, 3, seed=0)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        band_error(model, reduced, reduced.spectral, FreqGrid.default(n_points=7), hinf=hinf)
+        assert shapes.count((model.n, model.n)) == per_freq * 7
+        assert max(max(s) for s in shapes if s != (model.n, model.n)) <= 6
+
+    def test_hinf_fields_only_on_request(self, eq15_params):
+        model, _ = make_swing_model(eq15_params, seed=0)
+        reduced = run_algorithm_1(model, 3, seed=0)
+        grid = FreqGrid.default(n_points=5)
+        report = band_error(model, reduced, reduced.spectral, grid)
+        assert report.hinf_t_yu is None and report.hinf_t_hat_k is None
+        full = band_error(model, reduced, reduced.spectral, grid, hinf=True)
+        assert full.hinf_t_yu > 0 and full.hinf_t_hat_k > 0
+        assert full.per_freq == report.per_freq and full.err_struct == report.err_struct
 
 
 def _decoupled_report(model, grid):
@@ -277,7 +372,7 @@ def _decoupled_report(model, grid):
         s_matrix=np.eye(n),
         coupling=model.coupling,
     )
-    return band_error(model, reduced, SpectralData(np.zeros(n), np.eye(n)), grid)
+    return band_error(model, reduced, SpectralData(np.zeros(n), np.eye(n)), grid, hinf=True)
 
 
 class TestHinfGrid:
@@ -294,7 +389,7 @@ class TestHinfGrid:
         model, gamma = make_swing_model(eq15_params, seed=3)
         grid = FreqGrid.default(n_points=60)
         reduced = run_algorithm_1(model, 3, seed=3)
-        report = band_error(model, reduced, reduced.spectral, grid)
+        report = band_error(model, reduced, reduced.spectral, grid, hinf=True)
         assert report.hinf_t_yu <= gamma * (1 + 1e-6)
         assert report.hinf_t_hat_k <= gamma * (1 + 1e-6)
 
@@ -324,7 +419,7 @@ class TestHinfGrid:
         monkeypatch.setattr(evaluation, "theorem1_bound", record_m1)
         for w in (0.01, 0.5, 2.0):
             grid = FreqGrid(eta=2.0 * w, omega_min=0.5 * w, points=np.array([w]))
-            report = band_error(model, reduced, reduced.spectral, grid)
+            report = band_error(model, reduced, reduced.spectral, grid, hinf=True)
             t_k = eval_t_k(model, reduced.spectral, 1j * w)
             t_hat = eval_t_hat_k(model, reduced, 1j * w)
             assert seen_m1[-1] == pytest.approx(spectral_norm(t_k), rel=1e-12)
@@ -349,7 +444,7 @@ class TestHinfGrid:
         model = NetworkModel(nodes=[g] * 6, coupling=UNIT_GAIN, laplacian=laplacian(a))
         reduced = run_algorithm_1(model, 2, seed=0)
         grid = FreqGrid(eta=10.0, omega_min=0.1, points=np.array([0.1, 1.0, 10.0]))
-        report = band_error(model, reduced, reduced.spectral, grid)
+        report = band_error(model, reduced, reduced.spectral, grid, hinf=True)
         assert [w for w, _ in report.failures] == [1.0]
         assert [w for w, _ in report.per_freq] == [0.1, 10.0]
         expected = max(spectral_norm(eval_t_yu(model, 1j * w)) for w in (0.1, 10.0))

@@ -17,6 +17,7 @@ from netreduce import (
     passivity_check,
     tf_eval,
 )
+from netreduce.transfer import _polyval, node_values
 
 from conftest import COUPLING_INTEGRATOR
 
@@ -96,6 +97,50 @@ class TestTfEval:
         assert direct == pytest.approx(swapped, rel=1e-10)
 
 
+MIXED_NODES = [
+    first_order_swing(2.0, 0.7),
+    RationalTF((2.0, 1.0), (2.0, 3.0, 1.0)),
+    RationalTF((1.0, 0.5), (1.0, 2.0, 1.0)),
+    RationalTF((3.0,), (1.0,)),
+]
+
+
+class TestNodeValues:
+    def test_stacked_horner_equals_scalar(self):
+        s = np.array([0.0, 0.5j, 1 + 1j, -3.0, 3.3j])
+        num, den, pole = node_values(MIXED_NODES, s)
+        assert num.shape == den.shape == (s.size, len(MIXED_NODES))
+        for f, sf in enumerate(s):
+            for i, g in enumerate(MIXED_NODES):
+                assert num[f, i] == _polyval(g.num, sf)
+                assert den[f, i] == _polyval(g.den, sf)
+        assert not pole.any()
+
+    def test_stacked_inverse_and_value_match_pointwise(self):
+        s = 1j * np.logspace(-3, 1, 30)
+        num, den, _ = node_values(MIXED_NODES, s)
+        for f, sf in enumerate(s):
+            for i, g in enumerate(MIXED_NODES):
+                assert den[f, i] / num[f, i] == pytest.approx(g.inverse_at(sf), rel=1e-15)
+                assert num[f, i] / den[f, i] == pytest.approx(tf_eval(g, sf), rel=1e-15)
+
+    def test_pole_mask_marks_zeros_of_a_numerator(self):
+        # (s^2 + 1)/(s + 1)^2 vanishes at s = j: its inverse has a pole there
+        notch = RationalTF((1.0, 0.0, 1.0), (1.0, 2.0, 1.0))
+        _, _, pole = node_values([first_order_swing(1.0, 1.0), notch], [0.5j, 1j, 2j])
+        assert pole.tolist() == [False, True, False]
+        with pytest.raises(PoleAtS):
+            notch.inverse_at(1j)
+
+    def test_aggregate_over_grid_matches_call(self):
+        agg = AggregateEvaluator(MIXED_NODES)
+        s = 1j * np.logspace(-2, 1, 25)
+        vals, pole = agg.over(s)
+        assert not pole.any()
+        for sf, val in zip(s, vals):
+            assert agg(sf) == val
+
+
 class TestAggregate:
     def test_identical_members_harmonic_sum(self):
         g = RationalTF((1.0,), (1.0, 1.0))
@@ -165,6 +210,18 @@ class TestPassivityCheck:
         model = _two_node_model([RationalTF((1.0,), (-1.0, 1.0))] * 2)
         with pytest.raises(NotPassiveOnGrid):
             passivity_check(model, FreqGrid.default(eta=1.0, n_points=50))
+
+    def test_first_non_passive_node_named(self):
+        model = _two_node_model([first_order_swing(1.0, 1.0), RationalTF((1.0,), (-1.0, 1.0))])
+        with pytest.raises(NotPassiveOnGrid, match=r"^node 1: Re\(g\(jw\)\) <= 0 at omega=0.001$"):
+            passivity_check(model, FreqGrid.default(eta=1.0, n_points=50))
+
+    def test_node_pole_on_grid_raises(self):
+        # 1/(s^2 + 1) has its pole at omega = 1, a grid point
+        model = _two_node_model([first_order_swing(1.0, 1.0), RationalTF((1.0,), (1.0, 0.0, 1.0))])
+        grid = FreqGrid(eta=10.0, omega_min=0.1, points=np.array([0.1, 1.0, 10.0]))
+        with pytest.raises(PoleAtS):
+            passivity_check(model, grid)
 
     def test_vanishing_coupling_detected(self):
         model = _two_node_model(
