@@ -33,6 +33,7 @@ from .errors import (
     ModelMismatch,
     NearSingular,
     NetreduceError,
+    NonFinite,
     NotOrthonormal,
     NotPassiveOnGrid,
     NotSymmetric,

@@ -25,6 +25,10 @@ class NotSymmetric(NetreduceError):
     """Matrix expected to be symmetric is not."""
 
 
+class NonFinite(NetreduceError, ValueError):
+    """Matrix has a NaN or infinite entry."""
+
+
 class KTooLarge(NetreduceError):
     """Requested subspace dimension exceeds what the input admits."""
 

@@ -67,7 +67,8 @@ def eval_t_yu(model, s, ginv=None):
     if ginv is None:
         ginv = _g_inverse_at(model, s)
     f = tf_eval(model.coupling, s)
-    h = np.diag(ginv) + f * model.laplacian.astype(complex)
+    h = f * model.laplacian
+    h.flat[:: n + 1] += ginv
     with warnings.catch_warnings():
         # an exactly singular h is reported by the rcond check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

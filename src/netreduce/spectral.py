@@ -13,10 +13,9 @@ from .errors import (
     DegenerateEmbedding,
     KTooLarge,
     NotOrthonormal,
-    NotSymmetric,
     TiedSpectrumWarning,
 )
-from .graphs import Partition
+from .graphs import Partition, check_symmetric
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,18 +68,20 @@ def bottom_k_eig(l, k):
     partial dense symmetric eigensolve, keeps the bottom k pairs with
     sign-normalized eigenvectors, and reports the (k+1)-th eigenvalue as
     well. Emits TiedSpectrumWarning when the k-th and (k+1)-th eigenvalues
-    are numerically tied. Non-finite entries raise ValueError.
+    are numerically tied. Non-finite entries raise NonFinite, a ValueError.
+    The eigensolver works in place on the one n x n copy (l + l^T) / 2;
+    ``l`` is left unchanged.
     """
     l = np.asarray(l, dtype=float)
+    check_symmetric(l, 1e-10, "matrix")
     n = l.shape[0]
-    if l.ndim != 2 or l.shape[0] != l.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(1.0, np.abs(l).max())
-    if np.abs(l - l.T).max() > 1e-10 * scale:
-        raise NotSymmetric("matrix is not symmetric")
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} outside [1, {n}]")
-    lam, vec = scipy.linalg.eigh((l + l.T) / 2.0, subset_by_index=[0, min(k, n - 1)])
+    sym = l + l.T
+    sym /= 2.0
+    # sym is exactly symmetric, so its transpose is the same matrix in
+    # Fortran order and LAPACK overwrites it without a further copy
+    lam, vec = scipy.linalg.eigh(sym.T, subset_by_index=[0, min(k, n - 1)], overwrite_a=True)
     lambda_next = float(lam[k]) if k < n else None
     if lambda_next is not None and abs(lam[k - 1] - lambda_next) <= 1e-12 * (1.0 + abs(lambda_next)):
         warnings.warn(

@@ -16,10 +16,10 @@ import numpy as np
 from .errors import (
     CouplingVanishes,
     NotPassiveOnGrid,
-    NotSymmetric,
     PoleAtS,
     ZeroNumerator,
 )
+from .graphs import check_symmetric
 
 _COEF_TOL = 1e-12
 
@@ -207,7 +207,14 @@ def sample_swing_nodes(n, rng, m_range=(1.0, 3.0), d_range=(0.5, 1.5)):
 
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
-    """Nodes G(s) = diag{g_i}, coupling f(s), and Laplacian L of the loop."""
+    """Nodes G(s) = diag{g_i}, coupling f(s), and Laplacian L of the loop.
+
+    Stores a read-only copy of ``laplacian``, validated in place: the
+    caller's array is left unchanged and no other n x n array is formed.
+    Raises NonFinite on NaN or infinite entries, NotSymmetric on an
+    asymmetric L, and ValueError on nonzero row sums or a positive
+    off-diagonal entry.
+    """
 
     nodes: tuple
     coupling: RationalTF
@@ -221,13 +228,15 @@ class NetworkModel:
             raise ValueError("network needs at least two nodes")
         if lap.shape != (n, n):
             raise ValueError(f"laplacian shape {lap.shape} does not match {n} nodes")
-        scale = max(1.0, np.abs(lap).max())
-        if np.abs(lap - lap.T).max() > 1e-12 * scale:
-            raise NotSymmetric("laplacian is not symmetric")
+        lo, hi = check_symmetric(lap, 1e-12, "laplacian")
+        scale = max(1.0, hi, -lo)
         if np.abs(lap.sum(axis=1)).max() > 1e-10 * n * scale:
             raise ValueError("laplacian row sums are not zero")
-        off = lap - np.diag(np.diag(lap))
-        if off.max() > 1e-12 * scale:
+        diag = lap.diagonal().copy()
+        lap.flat[:: n + 1] = 0.0
+        off_max = lap.max()
+        lap.flat[:: n + 1] = diag
+        if off_max > 1e-12 * scale:
             raise ValueError("laplacian has positive off-diagonal entries")
         lap.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)

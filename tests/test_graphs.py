@@ -3,6 +3,7 @@ import pytest
 
 from netreduce import (
     EmptyBlock,
+    NonFinite,
     NotSymmetric,
     Partition,
     WsbmParams,
@@ -13,7 +14,26 @@ from netreduce import (
     sample_adjacency,
 )
 
+from netreduce.graphs import check_symmetric
+
 from conftest import EQ15_Q, EQ15_SIZES, EQ15_W, random_wsbm
+
+
+def _vectorized_adjacency(params, seed):
+    # the sampler as one draw over the whole lower triangle, kept as the
+    # bit-exact reference for the row-by-row fill
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = params.n
+    labels = params.labels()
+    rows, cols = np.tril_indices(n)
+    u = rng.random(rows.size)
+    q_pair = params.q[labels[rows], labels[cols]]
+    w_pair = params.w[labels[rows], labels[cols]]
+    vals = np.where(u < q_pair, w_pair, 0.0)
+    a = np.zeros((n, n))
+    a[rows, cols] = vals
+    strict = np.tril(a, -1)
+    return strict + strict.T + np.diag(np.diag(a))
 
 
 class TestLaplacian:
@@ -38,6 +58,28 @@ class TestLaplacian:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             laplacian([[0.0, -1.0], [-1.0, 0.0]])
+
+    def test_equals_degree_matrix_minus_adjacency_bitwise(self, eq15_params):
+        a = sample_adjacency(eq15_params, 3)
+        assert laplacian(a).tobytes() == (np.diag(a.sum(axis=1)) - a).tobytes()
+
+    def test_no_negative_zero_off_diagonal(self, eq15_params):
+        lap = laplacian(sample_adjacency(eq15_params, 3))
+        off = ~np.eye(lap.shape[0], dtype=bool)
+        assert not np.any(np.signbit(lap[off]) & (lap[off] == 0.0))
+
+    def test_leaves_input_unchanged(self, eq15_params):
+        a = sample_adjacency(eq15_params, 3)
+        before = a.tobytes()
+        laplacian(a)
+        assert a.tobytes() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.ones((3, 3))
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(NonFinite):
+            laplacian(a)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_structural_properties(self, seed):
@@ -86,6 +128,26 @@ class TestSampling:
             total += off.size
         freq = hits / total
         assert 0.74 <= freq <= 0.86
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_fill_equals_vectorized_draw(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        cases = [random_wsbm(rng), random_wsbm(rng, strong=False)]
+        cases += [
+            WsbmParams((9,), [[0.5]], [[3.0]]),
+            WsbmParams((2,), [[0.5]], [[3.0]]),
+            WsbmParams((1, 1), [[0.5, 0.5], [0.5, 0.5]], [[1.0, 2.0], [2.0, 1.0]]),
+        ]
+        for params in cases:
+            for graph_seed in (seed, 1000 + seed):
+                expected = _vectorized_adjacency(params, graph_seed)
+                assert sample_adjacency(params, graph_seed).tobytes() == expected.tobytes()
+
+    def test_negative_zero_weight_samples_as_zero(self):
+        params = WsbmParams((3, 4), np.ones((2, 2)), [[1.0, -0.0], [-0.0, 2.0]])
+        a = sample_adjacency(params, 0)
+        assert a.tobytes() == _vectorized_adjacency(params, 0).tobytes()
+        assert not np.any(np.signbit(a))
 
     def test_diagonal_cancels_in_laplacian(self, eq15_params):
         # self-loops are sampled but provably cancel in L = D - A
@@ -226,3 +288,24 @@ class TestWsbmParams:
         big = eq15_params.scaled(4)
         assert big.sizes == (80, 160, 80)
         np.testing.assert_array_equal(big.q, eq15_params.q)
+
+
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 200])
+    def test_finds_asymmetry_in_every_block_position(self, n):
+        # asymmetric pairs in the first and last row blocks and across a
+        # block boundary; the check passes just above their size
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        m = m + m.T
+        assert check_symmetric(m, 0.0, "m") == (m.min(), m.max())
+        for i, j in ((n - 1, 0), (0, n - 1), (n - 1, n - 2), (n // 2, n // 2 - 1)):
+            bad = m.copy()
+            bad[i, j] += 1e-6
+            with pytest.raises(NotSymmetric):
+                check_symmetric(bad, 1e-8, "m")
+            check_symmetric(bad, 1.1e-6 / np.abs(bad).max(), "m")
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            check_symmetric(np.zeros((2, 3)), 1e-12, "m")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from netreduce import (
     DegenerateEmbedding,
     KTooLarge,
+    NonFinite,
     NotOrthonormal,
     NotSymmetric,
     Partition,
@@ -19,9 +21,10 @@ from netreduce import (
     sin_theta,
     spectral_norm,
 )
-from netreduce import _kernels
+from netreduce import _kernels, run_algorithm_1
+from netreduce.config import build_model, config_from_dict
 
-from conftest import random_wsbm
+from conftest import EQ15_Q, EQ15_W, random_wsbm
 
 
 class TestBottomKEig:
@@ -99,6 +102,17 @@ class TestBottomKEig:
         with pytest.raises(ValueError):
             bottom_k_eig([[np.nan, 0.0], [0.0, 1.0]], 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_typed_error(self, bad):
+        with pytest.raises(NonFinite):
+            bottom_k_eig([[1.0, bad], [bad, 1.0]], 1)
+
+    def test_leaves_input_unchanged(self, eq15_params):
+        lap = laplacian(sample_adjacency(eq15_params, 2))
+        before = lap.tobytes()
+        bottom_k_eig(lap, 3)
+        assert lap.tobytes() == before
+
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((8, 8))
@@ -106,6 +120,38 @@ class TestBottomKEig:
         a = bottom_k_eig(m, 3)
         b = bottom_k_eig(m.copy(), 3)
         assert a.v_k.tobytes() == b.v_k.tobytes()
+
+
+class TestMemoryBudget:
+    def test_build_and_reduce_hold_few_n_by_n_arrays(self):
+        # graph, Laplacian, model and eigensolve together may hold at most
+        # 2.5 n x n float64 arrays at once (7.0 when the sampler built the
+        # triangle from pair-length index arrays)
+        doc = {
+            "wsbm": {"sizes": [160, 320, 160], "q": EQ15_Q, "w": EQ15_W},
+            "nodes": {"preset": "swing"},
+            "coupling": {"num": [1.0], "den": [0.0, 1.0]},
+            "k": 3,
+            "eta": 10.0,
+            "omega_min": 1e-3,
+            "grid_size": 20,
+            "seeds": [0],
+            "scales": [1],
+            "restarts": 5,
+            "sim": {"dt": 1e-3, "t_end": 1.0, "input_node": 1},
+        }
+        config = config_from_dict(doc)
+        n = config.wsbm.n
+        tracemalloc.start()
+        try:
+            model, _, _ = build_model(config, 0)
+            run_algorithm_1(model, config.k, seed=0, restarts=config.restarts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / (8.0 * n * n)
+        print(f"[memory] peak {ratio:.2f} n^2 float64 at n = {n}; budget 2.5, margin {2.5 - ratio:.2f}")
+        assert ratio <= 2.5
 
 
 def _block_constant_embedding(sizes, seed=0):

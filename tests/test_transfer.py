@@ -8,13 +8,16 @@ from netreduce import (
     CouplingVanishes,
     FreqGrid,
     NetworkModel,
+    NonFinite,
     NotPassiveOnGrid,
     NotSymmetric,
     PoleAtS,
     RationalTF,
     ZeroNumerator,
     first_order_swing,
+    laplacian,
     passivity_check,
+    sample_adjacency,
     tf_eval,
 )
 from netreduce.transfer import _polyval, node_values
@@ -268,6 +271,27 @@ class TestNetworkModel:
                 coupling=COUPLING_INTEGRATOR,
                 laplacian=[[-1.0, 1.0], [1.0, -1.0]],
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NonFinite):
+            NetworkModel(
+                nodes=[first_order_swing(1, 1)] * 2,
+                coupling=COUPLING_INTEGRATOR,
+                laplacian=[[bad, -1.0], [-1.0, 1.0]],
+            )
+
+    def test_stores_a_read_only_copy(self, eq15_params):
+        lap = laplacian(sample_adjacency(eq15_params, 4))
+        before = lap.tobytes()
+        model = NetworkModel(
+            nodes=[first_order_swing(1, 1)] * lap.shape[0],
+            coupling=COUPLING_INTEGRATOR,
+            laplacian=lap,
+        )
+        assert lap.tobytes() == before and lap.flags.writeable
+        assert model.laplacian.tobytes() == before
+        assert not model.laplacian.flags.writeable
 
     def test_requires_two_nodes(self):
         with pytest.raises(ValueError):
