@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -203,11 +202,22 @@ def _experiment_cell(args):
         }
 
 
+def __getattr__(name):
+    # the process pool is imported on first use, since only a pooled
+    # ``experiment`` needs it; cmd_experiment looks it up as a module
+    # attribute, which perfbench/traced_cli.py replaces to trace the workers
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_experiment(config, out_dir, jobs=None):
     jobs = jobs or os.cpu_count() or 1
     cells = [(config, scale, seed) for scale in config.scales for seed in config.seeds]
     if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_experiment_cell, cells))
     else:
         results = [_experiment_cell(c) for c in cells]

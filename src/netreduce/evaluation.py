@@ -11,11 +11,9 @@ low-dimensional subspace.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ModelMismatch, NearSingular, NetreduceError, PoleAtS
 from .transfer import log_grid, node_values, tf_eval
@@ -58,10 +56,12 @@ def _g_inverse_at(model, s):
 def eval_t_yu(model, s, ginv=None):
     """Closed-loop transfer matrix at ``s`` via (G^-1(s) + f(s) L)^-1.
 
-    Solved by complex LU with partial pivoting applied to the identity;
-    raises NearSingular when the reciprocal condition estimate of the loop
-    matrix falls below 1e-12. ``ginv`` is the diagonal of G^-1(s) when the
-    caller has it already.
+    Inverts the loop matrix h with ``np.linalg.inv`` (LU with partial
+    pivoting) and raises NearSingular unless its exact 1-norm reciprocal
+    condition number 1 / (||h||_1 ||h^-1||_1), read from that inverse, is
+    at least 1e-12; an exactly zero pivot reports rcond=0.00e+00, and a
+    non-finite h fails the check too. ``ginv`` is the diagonal of G^-1(s)
+    when the caller has it already.
     """
     n = model.n
     if ginv is None:
@@ -69,15 +69,15 @@ def eval_t_yu(model, s, ginv=None):
     f = tf_eval(model.coupling, s)
     h = f * model.laplacian
     h.flat[:: n + 1] += ginv
-    with warnings.catch_warnings():
-        # an exactly singular h is reported by the rcond check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(h, check_finite=False)
-    anorm = np.abs(h).sum(axis=0).max()
-    rcond = scipy.linalg.lapack.zgecon(lu, anorm)[0]
-    if rcond < 1e-12:
+    try:
+        inv = np.linalg.inv(h)
+    except np.linalg.LinAlgError as exc:
+        raise NearSingular(f"loop matrix at s={s}: rcond=0.00e+00") from exc
+    rcond = 1.0 / (np.abs(h).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
+    # a NaN fails the comparison too
+    if not rcond >= 1e-12:
         raise NearSingular(f"loop matrix at s={s}: rcond={rcond:.2e}")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=complex), check_finite=False)
+    return inv
 
 
 def eval_t_k(model, data, s, ginv=None):

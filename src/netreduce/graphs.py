@@ -11,6 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# imported with the module, not at the first draw: every command samples a
+# graph, and a lazy import inside a stage would count its ~0.6 MB of module
+# objects in that stage's traced peak
+from numpy.random import PCG64, Generator
+
 from .errors import EmptyBlock, NonFinite, NotSymmetric
 
 
@@ -36,6 +41,9 @@ class WsbmParams:
             raise ValueError("need k >= 1 blocks, all sizes >= 1, total >= 2")
         if q.shape != (k, k) or w.shape != (k, k):
             raise ValueError("q and w must be k x k")
+        # NaN passes every comparison below and would sample a wrong graph
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(w))):
+            raise NonFinite("entries of q and w must be finite")
         if np.abs(q - q.T).max() > 1e-12 or np.abs(w - w.T).max() > 1e-12 * max(1.0, np.abs(w).max()):
             raise NotSymmetric("q and w must be symmetric")
         if q.min() < 0 or q.max() > 1:
@@ -178,7 +186,7 @@ def sample_adjacency(params, seed):
     as one draw over the whole triangle; each row is written in place and
     mirrored into its column, and A is the only n x n array allocated.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     n = params.n
     labels = params.labels()
     q_rows = params.q[:, labels]

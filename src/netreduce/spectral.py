@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .errors import (
@@ -61,27 +60,44 @@ def _sign_normalize(v):
     return v
 
 
+# Largest n solved by the full numpy eigh; above it scipy's partial solve
+# repays its import (0.16-0.28 s, +28 MB RSS). On one BLAS thread (2-core
+# x86-64, numpy 2.4.6, scipy 1.17.1) the full solve took 0.14 s longer than
+# the partial one at n = 1024 and 0.30 s at n = 1280, and peak RSS of the
+# two paths broke even near n = 1000.
+_DENSE_MAX_N = 1024
+
+
 def bottom_k_eig(l, k):
     """Eigenpairs for the k smallest eigenvalues of a symmetric matrix.
 
-    Computes only the bottom k+1 eigenpairs (all n when k = n) with a
-    partial dense symmetric eigensolve, keeps the bottom k pairs with
-    sign-normalized eigenvectors, and reports the (k+1)-th eigenvalue as
-    well. Emits TiedSpectrumWarning when the k-th and (k+1)-th eigenvalues
-    are numerically tied. Non-finite entries raise NonFinite, a ValueError.
-    The eigensolver works in place on the one n x n copy (l + l^T) / 2;
-    ``l`` is left unchanged.
+    Keeps the bottom k pairs with sign-normalized eigenvectors and reports
+    the (k+1)-th eigenvalue as well. Emits TiedSpectrumWarning when the
+    k-th and (k+1)-th eigenvalues are numerically tied. Non-finite entries
+    raise NonFinite, a ValueError; ``l`` is left unchanged.
+
+    For n <= ``_DENSE_MAX_N`` the full ``np.linalg.eigh`` reads the lower
+    triangle of ``l`` (numpy copies it into its own LAPACK buffer), so no
+    scipy module is loaded. Larger n imports scipy here and solves for the
+    bottom k+1 pairs only (all n when k = n), in place on the one n x n
+    copy (l + l^T) / 2. Both read the same matrix when ``l`` is exactly
+    symmetric, as every Laplacian that ``laplacian`` builds is.
     """
     l = np.asarray(l, dtype=float)
     check_symmetric(l, 1e-10, "matrix")
     n = l.shape[0]
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} outside [1, {n}]")
-    sym = l + l.T
-    sym /= 2.0
-    # sym is exactly symmetric, so its transpose is the same matrix in
-    # Fortran order and LAPACK overwrites it without a further copy
-    lam, vec = scipy.linalg.eigh(sym.T, subset_by_index=[0, min(k, n - 1)], overwrite_a=True)
+    if n <= _DENSE_MAX_N:
+        lam, vec = np.linalg.eigh(l, UPLO="L")
+    else:
+        import scipy.linalg
+
+        sym = l + l.T
+        sym /= 2.0
+        # sym is exactly symmetric, so its transpose is the same matrix in
+        # Fortran order and LAPACK overwrites it without a further copy
+        lam, vec = scipy.linalg.eigh(sym.T, subset_by_index=[0, min(k, n - 1)], overwrite_a=True)
     lambda_next = float(lam[k]) if k < n else None
     if lambda_next is not None and abs(lam[k - 1] - lambda_next) <= 1e-12 * (1.0 + abs(lambda_next)):
         warnings.warn(

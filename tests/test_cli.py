@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import netreduce
 from netreduce.cli import main
 from netreduce.config import build_model, config_from_dict, load_config
 from netreduce.errors import ConfigError
@@ -86,6 +89,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="absent.json"):
             load_config(path)
         assert main(["reduce", "--config", path, "--out", str(tmp_path / "x")]) == 1
+
+    def test_nan_block_probability_exit_code(self, tmp_path):
+        doc = base_config()
+        doc["wsbm"]["q"] = [[float("nan"), 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+        cfg = write_config(tmp_path, doc)
+        assert "NaN" in (tmp_path / "config.json").read_text()
+        with pytest.raises(ConfigError, match="wsbm.*finite"):
+            load_config(cfg)
+        assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
     def test_input_node_outside_network(self, tmp_path):
         doc = base_config(sim={"dt": 1e-3, "t_end": 3.0, "input_node": 80})
@@ -364,3 +376,25 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["per_scale"]["1"]["median_concentration"] <= 1e-10
+
+
+# run in a fresh interpreter, since this test process has loaded scipy itself
+NO_SCIPY_CHILD = """
+import json, sys
+from netreduce.cli import main
+cfg, out = sys.argv[1:]
+codes = [main([cmd, "--config", cfg, "--out", f"{out}/{cmd}"]) for cmd in ("evaluate", "simulate")]
+loaded = [m for m in sys.modules if m.startswith("scipy") or m == "concurrent.futures.process"]
+print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
+"""
+
+
+def test_small_commands_load_neither_scipy_nor_a_process_pool(tmp_path):
+    doc = base_config(grid_size=10, sim={"dt": 1e-3, "t_end": 0.5, "input_node": 1})
+    cfg = write_config(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(netreduce.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD, cfg, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": []}

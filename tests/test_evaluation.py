@@ -89,6 +89,14 @@ class TestEvalTyu:
         with pytest.raises(NearSingular, match="rcond=0.00e"):
             eval_t_yu(model, 1j)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loop_matrix_raises_near_singular(self, bad):
+        model = _random_model(6, 0)
+        ginv = np.full(6, 1.0 + 0j)
+        ginv[2] = bad
+        with pytest.raises(NearSingular, match="loop matrix"):
+            eval_t_yu(model, 1j, ginv)
+
 
 class TestEvalTk:
     def test_full_basis_reproduces_t_yu(self):

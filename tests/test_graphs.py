@@ -284,6 +284,20 @@ class TestWsbmParams:
         with pytest.raises(ValueError):
             WsbmParams((2, 2), np.ones((2, 2)), [[-1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "q,w",
+        [
+            ([[np.nan, 0.1], [0.1, 0.8]], np.ones((2, 2))),
+            (np.full((2, 2), 0.5), [[1.0, np.nan], [np.nan, 1.0]]),
+            (np.full((2, 2), 0.5), [[np.inf, 1.0], [1.0, 1.0]]),
+        ],
+    )
+    def test_rejects_non_finite_q_and_w(self, q, w):
+        # NaN compares false against every bound, and q = NaN used to
+        # sample an empty first block
+        with pytest.raises(NonFinite, match="finite"):
+            WsbmParams((3, 3), q, w)
+
     def test_scaled_multiplies_sizes(self, eq15_params):
         big = eq15_params.scaled(4)
         assert big.sizes == (80, 160, 80)

@@ -24,7 +24,7 @@ from netreduce import (
 )
 from netreduce.config import build_model, config_from_dict
 from netreduce.evaluation import _t_hat_core
-from netreduce.simulate import SimResult, StateSpace, coupling_block
+from netreduce.simulate import SimResult, StateSpace, _expm, coupling_block
 
 from conftest import COUPLING_INTEGRATOR, make_swing_model
 
@@ -171,6 +171,31 @@ class TestStepResponse:
         sim = step_response(ss, 0, t_end=0.3, dt=0.1)
         assert sim.times.size == 4
         assert sim.times[-1] == pytest.approx(0.3, rel=1e-12)
+
+
+class TestExpm:
+    def test_zero_matrix_gives_identity(self):
+        np.testing.assert_array_equal(_expm(np.zeros((5, 5))), np.eye(5))
+
+    def test_symmetric_matrix_against_eigendecomposition(self):
+        # 1-norm above theta_13, so the result comes from repeated squaring
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))
+        lam = np.linspace(0.0, 50.0, 8)
+        ref = (q * np.exp(-lam)) @ q.T
+        err = np.linalg.norm(_expm(-(q * lam) @ q.T) - ref, 2)
+        assert err <= 1e-12 * np.linalg.norm(ref, 2)
+
+    def test_van_loan_matrix_matches_scipy(self, eq15_params):
+        import scipy.linalg
+
+        model, _ = make_swing_model(eq15_params, seed=0)
+        loop = close_loop(model.nodes, model.coupling, model.laplacian)
+        ns = loop.a.shape[0]
+        aug = np.zeros((ns + 1, ns + 1))
+        aug[:ns, :ns] = loop.a
+        aug[:ns, ns] = loop.b[:, 1]
+        ref = scipy.linalg.expm(aug * 1e-3)
+        assert np.abs(_expm(aug * 1e-3) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def random_members(m, seed, order=2, time_scale=1.0):

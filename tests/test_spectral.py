@@ -23,6 +23,7 @@ from netreduce import (
 )
 from netreduce import _kernels, run_algorithm_1
 from netreduce.config import build_model, config_from_dict
+from netreduce.spectral import _DENSE_MAX_N
 
 from conftest import EQ15_Q, EQ15_W, random_wsbm
 
@@ -74,16 +75,27 @@ class TestBottomKEig:
         with pytest.raises(KTooLarge):
             bottom_k_eig(np.eye(3), 0)
 
-    @pytest.mark.parametrize("k", [1, 39, 40])
-    def test_partial_solve_matches_full_eigh(self, k):
-        # k = n - 1 still computes lambda_next; k = n has none
+    @pytest.mark.parametrize(
+        "n,k",
+        [
+            pytest.param(40, 1, id="1"),
+            pytest.param(40, 39, id="39"),
+            pytest.param(40, 40, id="40"),
+            pytest.param(_DENSE_MAX_N, 3, id="dense-max-n"),
+            pytest.param(_DENSE_MAX_N + 1, 3, id="above-dense-max-n"),
+        ],
+    )
+    def test_partial_solve_matches_full_eigh(self, n, k):
+        # k = n - 1 still computes lambda_next; k = n has none. The last two
+        # sizes sit on either side of the switch from the full numpy solve
+        # to scipy's partial one.
         rng = np.random.default_rng(7)
-        m = rng.standard_normal((40, 40))
+        m = rng.standard_normal((n, n))
         m = m + m.T
         lam, vec = np.linalg.eigh(m)
         data = bottom_k_eig(m, k)
         np.testing.assert_allclose(data.lambda_k, lam[:k], rtol=1e-10, atol=1e-10 * np.abs(lam).max())
-        if k < 40:
+        if k < n:
             assert data.lambda_next == pytest.approx(lam[k], rel=1e-10)
         else:
             assert data.lambda_next is None
