@@ -9,11 +9,11 @@ network with the same feedback structure as the original.
 import os as _os
 
 # One BLAS thread per process unless the caller set one. The package loads
-# numpy's OpenBLAS, and scipy's as well only where ``bottom_k_eig`` imports
-# scipy for n above ``spectral._DENSE_MAX_N``; two thread pools in one
-# process fight over the cores. Parallelism comes from the ``--jobs`` process
-# pool, whose workers inherit these values. This acts only while numpy has
-# not yet been imported, so it must run before any submodule below.
+# only numpy's OpenBLAS; a program that loads a second BLAS beside it has two
+# thread pools, which fight over the cores. Parallelism comes from the
+# ``--jobs`` process pool, whose workers inherit these values. This acts
+# only while numpy has not yet been imported, so it must run before any
+# submodule below.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 del _os, _var

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -60,12 +61,83 @@ def _sign_normalize(v):
     return v
 
 
-# Largest n solved by the full numpy eigh; above it scipy's partial solve
-# repays its import (0.16-0.28 s, +28 MB RSS). On one BLAS thread (2-core
-# x86-64, numpy 2.4.6, scipy 1.17.1) the full solve took 0.14 s longer than
-# the partial one at n = 1024 and 0.30 s at n = 1280, and peak RSS of the
-# two paths broke even near n = 1000.
+# Largest n solved by the full numpy eigh. Above it all eigenvalues come
+# from one values-only eigvalsh and the bottom-k eigenvectors from a
+# Chebyshev-filtered block, with no library beyond numpy. On one BLAS thread
+# (2-core x86-64, numpy 2.4.6), on the three-group graph of the benchmark at
+# n = 1280, eigvalsh took 0.15 s, the filter 0.05 s and the full eigh 0.31 s.
+# The full solve is kept below the threshold, so the outputs of smaller
+# models stay as they were; there the filter would save 0.005 s at n = 320,
+# 0.023 s at n = 640 and 0.074 s at n = 1024.
 _DENSE_MAX_N = 1024
+# The filter damps [lambda_{k+1}, lambda_max] by this factor relative to
+# lambda_k. Its reciprocal must exceed sqrt(n) / eps (2e17 at n = 1280) for
+# the residual to reach roundoff: on 1024- to 2000-node three-group graphs
+# 1e-16 left residuals of up to 80 eps ||L||, and 1e-18 (two or three more
+# products) 1-23 eps ||L||.
+_FILTER_DAMPING = 1e-18
+# products of the Chebyshev recurrence between two Rayleigh-Ritz steps; each
+# step re-orthonormalizes the block, so that the columns do not all turn
+# toward the eigenvector whose value lies farthest below the interval. With
+# 8, residuals were 3-10 eps ||L|| on the benchmark graph at n = 1280 (16-33
+# with no restart), and 3-10 on a spectrum 0, 40, 50 below [200, 1000] at
+# n = 1025, where with no restart the residual check failed.
+_FILTER_CYCLE = 8
+
+
+def _rayleigh_ritz(l, y):
+    # Ritz values, Ritz vectors and l times them on the span of y
+    q, _ = np.linalg.qr(y)
+    lq = l @ q
+    theta, w = np.linalg.eigh(q.T @ lq)
+    return theta, q @ w, lq @ w
+
+
+def _filtered_bottom_k(l, lam, k):
+    """Bottom-k eigenvectors of ``l`` by Chebyshev-filtered subspace iteration.
+
+    Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219(1), 2006.
+    ``lam`` holds all n eigenvalues of ``l`` in ascending order. The filter
+    maps the unwanted interval [lambda_{k+1}, lambda_max] onto [-1, 1],
+    where the Chebyshev polynomial T_m stays within 1, and grows lambda_k by
+    T_m(t) = cosh(m arccosh t); the degree m is the least that damps the
+    interval by ``_FILTER_DAMPING``. A fixed-seed n x k block goes through
+    cycles of ``_FILTER_CYCLE`` recurrence steps, each followed by a QR and
+    a Rayleigh-Ritz step whose product with ``l`` is also the first step of
+    the next cycle, so the filter costs m + 1 products.
+
+    Returns the Ritz vectors, or None when the filter would cost more than
+    the full eigh: when k = n, when the interval is a single point or the
+    degree is too high. One product of the n x n matrix with the n x k block
+    took at least 1/120 of the time the full eigh needs beyond eigvalsh
+    (n = 1025-2048, k <= 8, one thread), so a degree m pays while
+    m k <= n / 4. Also returns None unless every Ritz value lies within
+    n eps ||L|| of its eigenvalue in ``lam`` and every residual
+    ||l v - theta v|| is within the same bound.
+    """
+    n = l.shape[0]
+    if k >= n:
+        return None
+    half = (lam[-1] - lam[k]) / 2.0
+    center = lam[-1] - half
+    t = (center - lam[k - 1]) / half if half > 0.0 else 1.0
+    if not t > 1.0:
+        return None
+    degree = math.ceil(math.acosh(1.0 / _FILTER_DAMPING) / math.acosh(t))
+    if degree * k > n / 4:
+        return None
+    theta, v, lv = _rayleigh_ritz(l, np.random.default_rng(0).standard_normal((n, k)))
+    for done in range(0, degree, _FILTER_CYCLE):
+        # T_0 and T_1 of the scaled matrix (l - center) / half applied to v
+        y_prev, y = v, (lv - center * v) / half
+        for _ in range(min(_FILTER_CYCLE, degree - done) - 1):
+            y_prev, y = y, (2.0 / half) * (l @ y - center * y) - y_prev
+        theta, v, lv = _rayleigh_ritz(l, y)
+    tol = n * np.finfo(float).eps * max(-lam[0], lam[-1])
+    resid = np.linalg.norm(lv - v * theta, axis=0)
+    if np.abs(theta - lam[:k]).max() > tol or resid.max() > tol:
+        return None
+    return v
 
 
 def bottom_k_eig(l, k):
@@ -74,34 +146,41 @@ def bottom_k_eig(l, k):
     Keeps the bottom k pairs with sign-normalized eigenvectors and reports
     the (k+1)-th eigenvalue as well. Emits TiedSpectrumWarning when the
     k-th and (k+1)-th eigenvalues are numerically tied. Non-finite entries
-    raise NonFinite, a ValueError; ``l`` is left unchanged.
+    raise NonFinite, a ValueError; an asymmetry above a relative 1e-10
+    raises NotSymmetric; ``l`` is left unchanged.
 
     For n <= ``_DENSE_MAX_N`` the full ``np.linalg.eigh`` reads the lower
-    triangle of ``l`` (numpy copies it into its own LAPACK buffer), so no
-    scipy module is loaded. Larger n imports scipy here and solves for the
-    bottom k+1 pairs only (all n when k = n), in place on the one n x n
-    copy (l + l^T) / 2. Both read the same matrix when ``l`` is exactly
-    symmetric, as every Laplacian that ``laplacian`` builds is.
+    triangle of ``l`` (numpy copies it into its own LAPACK buffer). Larger n
+    take every eigenvalue from one ``np.linalg.eigvalsh``, which also reads
+    the lower triangle, and the eigenvectors from a Chebyshev filter whose
+    products read all of ``l``; the two read the same matrix when ``l`` is
+    exactly symmetric, as every Laplacian that ``laplacian`` builds is. The
+    full ``eigh`` runs instead when k = n, when the gap between the k-th and
+    (k+1)-th eigenvalues is too small for the filter to beat it, and when
+    the filtered vectors fail their eigenvalue or residual check.
     """
     l = np.asarray(l, dtype=float)
     check_symmetric(l, 1e-10, "matrix")
     n = l.shape[0]
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} outside [1, {n}]")
+    return _bottom_k_eig(l, k)
+
+
+def _bottom_k_eig(l, k):
+    # bottom_k_eig without its input checks, for a matrix already validated
+    n = l.shape[0]
     if n <= _DENSE_MAX_N:
         lam, vec = np.linalg.eigh(l, UPLO="L")
     else:
-        import scipy.linalg
-
-        sym = l + l.T
-        sym /= 2.0
-        # sym is exactly symmetric, so its transpose is the same matrix in
-        # Fortran order and LAPACK overwrites it without a further copy
-        lam, vec = scipy.linalg.eigh(sym.T, subset_by_index=[0, min(k, n - 1)], overwrite_a=True)
+        lam = np.linalg.eigvalsh(l, UPLO="L")
+        vec = _filtered_bottom_k(l, lam, k)
+        if vec is None:
+            lam, vec = np.linalg.eigh(l, UPLO="L")
     lambda_next = float(lam[k]) if k < n else None
     if lambda_next is not None and abs(lam[k - 1] - lambda_next) <= 1e-12 * (1.0 + abs(lambda_next)):
         warnings.warn(
-            f"eigenvalues {k} and {k + 1} are numerically tied", TiedSpectrumWarning, stacklevel=2
+            f"eigenvalues {k} and {k + 1} are numerically tied", TiedSpectrumWarning, stacklevel=3
         )
     return SpectralData(
         lambda_k=lam[:k].copy(),

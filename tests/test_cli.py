@@ -13,6 +13,7 @@ from netreduce.errors import ConfigError
 from netreduce.io import read_matrix_csv
 from netreduce.reduction import run_algorithm_1
 from netreduce.simulate import realize_reduced, step_response
+from netreduce.spectral import _DENSE_MAX_N
 
 from conftest import EQ15_Q, EQ15_SIZES, EQ15_W
 
@@ -378,23 +379,35 @@ class TestExperiment:
         assert summary["per_scale"]["1"]["median_concentration"] <= 1e-10
 
 
-# run in a fresh interpreter, since this test process has loaded scipy itself
+# run in a fresh interpreter, since this test process may have loaded scipy
+# for the reference solutions of other tests
 NO_SCIPY_CHILD = """
 import json, sys
 from netreduce.cli import main
-cfg, out = sys.argv[1:]
-codes = [main([cmd, "--config", cfg, "--out", f"{out}/{cmd}"]) for cmd in ("evaluate", "simulate")]
+cfg, out, *commands = sys.argv[1:]
+codes = [main([cmd, "--config", cfg, "--out", f"{out}/{cmd}"]) for cmd in commands]
 loaded = [m for m in sys.modules if m.startswith("scipy") or m == "concurrent.futures.process"]
 print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
 """
 
 
-def test_small_commands_load_neither_scipy_nor_a_process_pool(tmp_path):
-    doc = base_config(grid_size=10, sim={"dt": 1e-3, "t_end": 0.5, "input_node": 1})
+def run_no_scipy_child(tmp_path, doc, *commands):
     cfg = write_config(tmp_path, doc)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(netreduce.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_CHILD, cfg, str(tmp_path / "out")],
+        [sys.executable, "-c", NO_SCIPY_CHILD, cfg, str(tmp_path / "out"), *commands],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": []}
+    return json.loads(proc.stdout)
+
+
+def test_small_commands_load_neither_scipy_nor_a_process_pool(tmp_path):
+    doc = base_config(grid_size=10, sim={"dt": 1e-3, "t_end": 0.5, "input_node": 1})
+    assert run_no_scipy_child(tmp_path, doc, "evaluate", "simulate") == {"codes": [0, 0], "loaded": []}
+
+
+def test_reduce_above_dense_max_n_loads_no_scipy(tmp_path):
+    doc = base_config(restarts=5)
+    doc["wsbm"]["sizes"] = [256, 512, 258]
+    assert sum(doc["wsbm"]["sizes"]) > _DENSE_MAX_N
+    assert run_no_scipy_child(tmp_path, doc, "reduce") == {"codes": [0], "loaded": []}

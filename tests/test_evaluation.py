@@ -80,7 +80,7 @@ class TestEvalTyu:
         t_conj = eval_t_yu(model, np.conj(s))
         np.testing.assert_allclose(t_conj, np.conj(eval_t_yu(model, s)), atol=1e-10)
 
-    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exactly_singular_loop_matrix_raises_only_near_singular(self):
         # nodes 1/(s^2 + 1) at s = j: G^-1 vanishes and the loop matrix is
         # PATH2, whose LU has an exact zero pivot
@@ -434,7 +434,7 @@ class TestHinfGrid:
             assert report.hinf_t_hat_k == pytest.approx(spectral_norm(t_hat), rel=1e-12)
         assert len(seen_m1) == 3
 
-    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_frequency_is_a_gap(self):
         # identical nodes 1/(s^2 + 1): at omega = 1 the inverse dynamics
         # vanish, the loop matrix is f L and singular

@@ -12,6 +12,7 @@ from netreduce import (
     NotSymmetric,
     Partition,
     TiedSpectrumWarning,
+    WsbmParams,
     bottom_k_eig,
     block_spectrum_oracle,
     cluster_embedding,
@@ -21,11 +22,17 @@ from netreduce import (
     sin_theta,
     spectral_norm,
 )
-from netreduce import _kernels, run_algorithm_1
+from netreduce import _kernels, run_algorithm_1, spectral
 from netreduce.config import build_model, config_from_dict
 from netreduce.spectral import _DENSE_MAX_N
 
 from conftest import EQ15_Q, EQ15_W, random_wsbm
+
+
+def _three_group_laplacian_above_dense_max_n():
+    lap = laplacian(sample_adjacency(WsbmParams((256, 512, 258), EQ15_Q, EQ15_W), 0))
+    assert lap.shape[0] > _DENSE_MAX_N
+    return lap
 
 
 class TestBottomKEig:
@@ -83,12 +90,14 @@ class TestBottomKEig:
             pytest.param(40, 40, id="40"),
             pytest.param(_DENSE_MAX_N, 3, id="dense-max-n"),
             pytest.param(_DENSE_MAX_N + 1, 3, id="above-dense-max-n"),
+            pytest.param(_DENSE_MAX_N + 1, _DENSE_MAX_N + 1, id="above-dense-max-n-all"),
         ],
     )
     def test_partial_solve_matches_full_eigh(self, n, k):
         # k = n - 1 still computes lambda_next; k = n has none. The last two
         # sizes sit on either side of the switch from the full numpy solve
-        # to scipy's partial one.
+        # to eigvalsh and the Chebyshev filter; this spectrum has no gap at
+        # k = 3, so the larger one falls back to the full solve.
         rng = np.random.default_rng(7)
         m = rng.standard_normal((n, n))
         m = m + m.T
@@ -101,6 +110,75 @@ class TestBottomKEig:
             assert data.lambda_next is None
         ref = vec[:, :k] * np.sign(vec[np.argmax(np.abs(vec[:, :k]), axis=0), np.arange(k)])
         np.testing.assert_allclose(data.v_k, ref, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "k,damping,full_solves",
+        [
+            pytest.param(3, None, 0, id="filtered"),
+            # lambda_4 = 3713 against lambda_5 = 3741 needs a degree above
+            # the cost limit
+            pytest.param(4, None, 1, id="small-gap"),
+            # a filter this weak leaves residuals far above the check's bound,
+            # while its Ritz values already match to roundoff
+            pytest.param(3, 1e-9, 1, id="failed-check"),
+        ],
+    )
+    def test_above_dense_max_n_matches_full_eigh(self, monkeypatch, k, damping, full_solves):
+        lap = _three_group_laplacian_above_dense_max_n()
+        n = lap.shape[0]
+        lam, vec = np.linalg.eigh(lap, UPLO="L")
+        if damping is not None:
+            monkeypatch.setattr(spectral, "_FILTER_DAMPING", damping)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        data = bottom_k_eig(lap, k)
+        again = bottom_k_eig(lap, k)
+        assert calls.count(n) == 2 * full_solves
+        norm = np.abs(lam).max()
+        np.testing.assert_allclose(data.lambda_k, lam[:k], rtol=0, atol=1e-12 * norm)
+        assert data.lambda_next == pytest.approx(lam[k], rel=1e-12)
+        ref = vec[:, :k] * np.sign(vec[np.argmax(np.abs(vec[:, :k]), axis=0), np.arange(k)])
+        np.testing.assert_allclose(data.v_k, ref, rtol=0, atol=1e-10)
+        assert again.v_k.tobytes() == data.v_k.tobytes()
+
+    def test_filter_restarts_keep_a_low_lambda_1_from_swamping_lambda_k(self, monkeypatch):
+        # eigenvalues 0, 40 and 50 below an unwanted interval [200, 1000]:
+        # over the whole degree (51) the filter grows the lambda_1 component
+        # about 490 times more than the lambda_3 one; without the
+        # Rayleigh-Ritz restarts every column turns toward v_1 and the
+        # residual check sends the solve to the full eigh
+        n = _DENSE_MAX_N + 1
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((n, n)))
+        lam = np.concatenate([[0.0, 40.0, 50.0], np.linspace(200.0, 1000.0, n - 3)])
+        m = (q * lam) @ q.T
+        m = (m + m.T) / 2
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        data = bottom_k_eig(m, 3)
+        assert n not in calls
+        np.testing.assert_allclose(data.lambda_k, lam[:3], rtol=0, atol=1e-12 * lam[-1])
+        ref = q[:, :3] * np.sign(q[np.argmax(np.abs(q[:, :3]), axis=0), np.arange(3)])
+        np.testing.assert_allclose(data.v_k, ref, rtol=0, atol=1e-10)
+
+    def test_filter_rejects_ritz_values_off_the_given_spectrum(self):
+        # the block converges whatever eigenvalues it is given; only the
+        # check that its Ritz values match them catches a wrong spectrum
+        lap = _three_group_laplacian_above_dense_max_n()
+        lam = np.linalg.eigvalsh(lap, UPLO="L")
+        assert spectral._filtered_bottom_k(lap, lam, 3) is not None
+        assert spectral._filtered_bottom_k(lap, lam * (1 + 1e-9), 3) is None
 
     def test_tied_k_and_next_eigenvalues_warn(self):
         # the complete graph K4 has spectrum {0, 4, 4, 4}
