@@ -37,9 +37,9 @@ def write_matrix_csv(path, matrix, columns=None):
         row += "\n"
         lines = (row % tuple(r.tolist()) for r in m)
     else:
-        picked = np.arange(m.shape[1])[np.asarray(columns, dtype=int)]
-        line = ",".join(f"{{{c}}}" for c in picked.tolist()) + "\n"
-        lines = (line.format(*(row % tuple(r.tolist())).split(",")) for r in m)
+        picked = np.arange(m.shape[1])[np.asarray(columns, dtype=int)].tolist()
+        cells = ((row % tuple(r.tolist())).split(",") for r in m)
+        lines = (",".join([c[i] for i in picked]) + "\n" for c in cells)
     with open(path, "w") as fh:
         fh.writelines(lines)
 

@@ -211,7 +211,7 @@ class TestCriterion5:
         assert _report(5, ok, f"max Hinf/gamma ratio {worst_ratio:.6f} over 20 instances")
 
 
-def _sup_error(model, reduced, data, grid_pts):
+def _sup_error(model, reduced, grid_pts):
     sup = 0.0
     for w in grid_pts:
         s = 1j * w
@@ -240,8 +240,7 @@ class TestCriterion6:
                 runs += 1
                 if reduced.partition.same_blocks(true_part):
                     hits += 1
-                data = bottom_k_eig(model.laplacian, 3)
-                sups.append(_sup_error(model, reduced, data, grid_pts))
+                sups.append(_sup_error(model, reduced, grid_pts))
             medians.append(float(np.median(sups)))
             recovery.append(hits / runs)
         decreasing = medians[0] > medians[1] > medians[2]

@@ -16,6 +16,16 @@ def _old_csv(matrix):
     return "".join(",".join(_old_fmt(v) for v in row) + "\n" for row in m)
 
 
+def _format_csv(matrix, columns):
+    """Repeated-column lines built by one n-field ``str.format`` each."""
+    m = np.atleast_2d(np.asarray(matrix))
+    code = "%d" if m.dtype.kind in "biu" else "%.17g"
+    row = ",".join([code] * m.shape[1])
+    picked = np.arange(m.shape[1])[np.asarray(columns, dtype=int)]
+    line = ",".join(f"{{{c}}}" for c in picked.tolist()) + "\n"
+    return "".join(line.format(*(row % tuple(r.tolist())).split(",")) for r in m)
+
+
 def _written(tmp_path, matrix, columns=None):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, matrix, columns=columns)
@@ -81,6 +91,18 @@ class TestWriteMatrixCsv:
         m = np.arange(6, dtype=np.int64).reshape(2, 3) * 2**60
         assert _written(tmp_path, m, [1, 1, 0]) == _old_csv(m[:, [1, 1, 0]])
         assert _written(tmp_path, m, []) == "\n\n"
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[2, 0, 0, 1, 2, 2, -3, 1], [2, 1, 0], [1], [0, 0, 0, 0], []],
+        ids=["repeated", "reordered", "single", "one-column-repeated", "empty"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_columns_match_format_form(self, tmp_path, columns, dtype):
+        m = np.array([[0.1, 1 / 3, -0.0], [np.nan, 2.5, 1e17], [5e-324, -np.inf, 7.0]])
+        if dtype is np.int64:
+            m = np.arange(9, dtype=np.int64).reshape(3, 3) - 2**62
+        assert _written(tmp_path, m, columns) == _format_csv(m, columns)
 
     def test_column_out_of_range(self, tmp_path):
         with pytest.raises(IndexError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,14 @@ from netreduce import (
 )
 from netreduce.config import build_model, config_from_dict
 from netreduce.evaluation import _t_hat_core
-from netreduce.simulate import SimResult, StateSpace, _expm, coupling_block
+from netreduce.simulate import (
+    _BLOCK_MAX,
+    SimResult,
+    StateSpace,
+    _block_length,
+    _expm,
+    coupling_block,
+)
 
 from conftest import COUPLING_INTEGRATOR, make_swing_model
 
@@ -138,6 +147,49 @@ class TestStepResponse:
         with pytest.raises(Diverged, match=r"at t=3\.09$"):
             step_response(ss, 0, t_end=5.0, dt=0.01, state_limit=1e6)
 
+    # 500 samples in blocks of 16: the last block holds samples 497-500
+    @pytest.mark.parametrize(
+        "first_bad",
+        [1, 17, 32, 309, 498, 500],
+        ids=["sample-1", "first-of-block", "last-of-block", "mid-run", "in-last-block", "last-sample"],
+    )
+    def test_divergence_names_the_per_sample_recurrence_sample(self, first_bad):
+        ss = StateSpace(a=[[5.0]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
+        assert _block_length(500, 1) == 16
+        _, peaks = _per_sample(ss, 0, 500, 0.01)
+        limit = (peaks[first_bad - 1] + peaks[first_bad]) / 2
+        with pytest.raises(Diverged, match=rf"at t={first_bad * 0.01:g}$"):
+            step_response(ss, 0, t_end=5.0, dt=0.01, state_limit=limit)
+
+    def test_divergence_on_network_names_the_per_sample_recurrence_sample(self, eq15_loops):
+        # the eq15 loop shifted to grow as e^{2t}
+        full, _, _ = eq15_loops
+        ss = StateSpace(a=full.a + 2.0 * np.eye(full.dims[0]), b=full.b, c=full.c, d=full.d)
+        _, peaks = _per_sample(ss, 1, 1000, 0.01)
+        # the first new running maximum from sample 500 on; the states
+        # oscillate as they grow
+        first_bad = 500 + int(np.argmax(peaks[500:] > peaks[:500].max()))
+        limit = (peaks[:first_bad].max() + peaks[first_bad]) / 2
+        block = _block_length(1000, ss.dims[0])
+        print(f"first bad sample {first_bad}: sample {(first_bad - 1) % block + 1} of a block of {block}")
+        with pytest.raises(Diverged, match=rf"at t={first_bad * 0.01:g}$"):
+            step_response(ss, 1, t_end=10.0, dt=0.01, state_limit=limit)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fast_divergence_raises_no_runtime_warning(self):
+        # Phi = e^50: sixteen samples of growth would overflow, the first
+        # sample already exceeds the limit
+        ss = StateSpace(a=[[50.0]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
+        with pytest.raises(Diverged, match=r"at t=1$"):
+            step_response(ss, 0, t_end=40.0, dt=1.0)
+
+    def test_blocks_stepped_one_sample_at_a_time_keep_their_outputs(self):
+        # 1 - e^{-t} ends just below the limit, so the state bound of the
+        # blocks after t = 3.8 exceeds it and they are stepped sample by sample
+        ss = realize(RationalTF((1.0,), (1.0, 1.0)))
+        sim = step_response(ss, 0, t_end=5.0, dt=1e-3, state_limit=1.0 - np.exp(-5.0) + 1e-9)
+        assert np.abs(sim.outputs[:, 0] - (1.0 - np.exp(-sim.times))).max() <= 1e-12
+
     def test_exact_at_every_step_size(self):
         # (s + 2) / ((s + 1)(s + 2)) has the step response 1 - e^{-t}
         # whatever dt samples it
@@ -171,6 +223,99 @@ class TestStepResponse:
         sim = step_response(ss, 0, t_end=0.3, dt=0.1)
         assert sim.times.size == 4
         assert sim.times[-1] == pytest.approx(0.3, rel=1e-12)
+
+
+def _per_sample(loop, node, steps, dt, dtype=np.float64):
+    """Outputs and largest state magnitudes of x = Phi x + Gamma, one sample at a time.
+
+    Phi and Gamma are the float64 blocks of the Van Loan exponential that
+    ``step_response`` takes; the recurrence runs in ``dtype``.
+    """
+    ns = loop.dims[0]
+    aug = np.zeros((ns + 1, ns + 1))
+    aug[:ns, :ns] = loop.a
+    aug[:ns, ns] = loop.b[:, node]
+    zoh = _expm(aug * dt).astype(dtype)
+    phi, gamma = zoh[:ns, :ns], zoh[:ns, ns]
+    c, d = loop.c.astype(dtype), loop.d[:, node].astype(dtype)
+    out = np.empty((steps + 1, loop.dims[2]), dtype=dtype)
+    peaks = np.zeros(steps + 1)
+    out[0] = d
+    x = np.zeros(ns, dtype=dtype)
+    for i in range(1, steps + 1):
+        x = phi @ x + gamma
+        out[i] = c @ x + d
+        peaks[i] = np.abs(x).max()
+    return out.astype(float), peaks
+
+
+@pytest.fixture(scope="module")
+def eq15_loops(eq15_params):
+    """Full and reduced closed loops of eq15 seed 0, and the reduced input."""
+    model, _ = make_swing_model(eq15_params, seed=0)
+    reduced = run_algorithm_1(model, 3, seed=0)
+    full = close_loop(model.nodes, model.coupling, model.laplacian)
+    return full, realize_reduced(reduced), int(reduced.partition.assignment[1])
+
+
+class TestBlockStepper:
+    @pytest.mark.parametrize("ns", [1, 6, 160, 640])
+    def test_block_never_outgrows_horizon_or_outputs(self, ns):
+        for steps in range(1, 5000, 7):
+            block = _block_length(steps, ns)
+            assert 1 <= block <= min(steps, _BLOCK_MAX)
+            assert block == 1 or block * (ns + 1) <= steps + 1
+
+    # The float64 recurrence drifts by itself over long runs: up to 1.6e-12
+    # of max|y| after 30000 samples of the reduced loops of eq15 seeds 0-5,
+    # where the block stepper stays within 2e-13 of a long-double run. The
+    # reference runs in long double where that is cheap; the full loop's
+    # float64 recurrence stayed within 5e-13 on the same seeds.
+    @pytest.mark.parametrize(
+        "loop_name,steps,dtype",
+        [
+            ("full", 1, np.longdouble),
+            ("full", 170, np.longdouble),
+            ("full", 4005, np.float64),
+            ("full", 30000, np.float64),
+            ("reduced", 1, np.longdouble),
+            ("reduced", 37, np.longdouble),
+            ("reduced", 4000, np.longdouble),
+            ("reduced", 30000, np.longdouble),
+        ],
+    )
+    def test_matches_per_sample_recurrence(self, eq15_loops, loop_name, steps, dtype):
+        full, reduced, group_in = eq15_loops
+        loop, node = (full, 1) if loop_name == "full" else (reduced, group_in)
+        dt = 1e-3
+        ref, _ = _per_sample(loop, node, steps, dt, dtype)
+        sim = step_response(loop, node, t_end=steps * dt, dt=dt)
+        assert sim.outputs.shape == ref.shape
+        err = np.abs(sim.outputs - ref).max() / np.abs(ref).max()
+        block = _block_length(steps, loop.dims[0])
+        print(f"{loop_name} loop, {steps} steps in blocks of {block}, "
+              f"{steps % block} past the last whole block: {err:.2e} of max|y| (<= 1e-12)")
+        assert err <= 1e-12
+
+    @pytest.mark.parametrize("scale,per_sample_peak", [(1, 1.31), (4, 3.21)])
+    def test_peak_memory_within_one_output_array_of_per_sample_stepper(
+        self, eq15_params, scale, per_sample_peak
+    ):
+        # peaks of the per-sample stepper, in output arrays of 4001 x n
+        # float64, mostly the expm temporaries at n = 320; the block
+        # operators and the chunk of block starts may add one output array
+        model, _ = make_swing_model(eq15_params.scaled(scale), seed=0)
+        loop = close_loop(model.nodes, model.coupling, model.laplacian)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step_response(loop, 1, t_end=4.0, dt=1e-3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        arrays = peak / (4001 * model.n * 8)
+        print(f"n = {model.n}: peak {arrays:.3f} output arrays, budget {per_sample_peak + 1:.2f}")
+        assert arrays <= per_sample_peak + 1
 
 
 class TestExpm:
