@@ -135,12 +135,13 @@ def cmd_simulate(config, out_dir):
 
         full_path = os.path.join(out_dir, f"full_seed{seed}.csv")
         red_path = os.path.join(out_dir, f"reduced_seed{seed}.csv")
-        write_matrix_csv(full_path, np.column_stack([full.times, full.outputs]))
+        write_matrix_csv(full_path, full.outputs, lead=full.times)
         # node i repeats its group's aggregate column
         write_matrix_csv(
             red_path,
-            np.column_stack([red.times, red.outputs]),
+            red.outputs,
             columns=[0, *(reduced.partition.assignment + 1).tolist()],
+            lead=red.times,
         )
         files += [os.path.basename(full_path), os.path.basename(red_path)]
 
@@ -213,6 +214,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _median(values):
+    # np.median of a list of floats, without the numpy.ma import it triggers
+    v = sorted(values)
+    mid = len(v) // 2
+    return float(v[mid]) if len(v) % 2 else (v[mid - 1] + v[mid]) / 2.0
+
+
 def cmd_experiment(config, out_dir, jobs=None):
     jobs = jobs or os.cpu_count() or 1
     cells = [(config, scale, seed) for scale in config.scales for seed in config.seeds]
@@ -255,10 +263,10 @@ def cmd_experiment(config, out_dir, jobs=None):
         summary["per_scale"][str(scale)] = {
             "ok_seeds": len(ok),
             "n": ok[0]["n"],
-            "median_sup_err": float(np.median([r["sup_err"] for r in ok])),
+            "median_sup_err": _median([r["sup_err"] for r in ok]),
             "recovery_rate": float(np.mean([r["clustering_success"] for r in ok])),
-            "median_concentration": float(np.median([r["concentration"] for r in ok])),
-            "median_lambda_k1": float(np.median([r["lambda_k1"] for r in ok])),
+            "median_concentration": _median([r["concentration"] for r in ok]),
+            "median_lambda_k1": _median([r["lambda_k1"] for r in ok]),
         }
         ns.append(ok[0]["n"])
         med_conc.append(summary["per_scale"][str(scale)]["median_concentration"])

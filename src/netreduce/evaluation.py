@@ -6,7 +6,10 @@ truncation-error bound and band-wise error reports. Spectral norms are
 largest singular values from SVDs: dense n x n ones for the differences
 against T_yu and for ||T_yu|| itself, and small ones (k x k or at most
 2k x 2k) for every quantity whose rows and columns lie in a known
-low-dimensional subspace.
+low-dimensional subspace. ``band_error`` forms the k x k cores and the
+small SVDs once per grid, stacked over the frequencies; the one-point
+functions ``eval_t_k`` and ``eval_t_hat_k`` call the same helpers with a
+stack of one.
 """
 
 from __future__ import annotations
@@ -63,10 +66,13 @@ def eval_t_yu(model, s, ginv=None):
     non-finite h fails the check too. ``ginv`` is the diagonal of G^-1(s)
     when the caller has it already.
     """
-    n = model.n
     if ginv is None:
         ginv = _g_inverse_at(model, s)
-    f = tf_eval(model.coupling, s)
+    return _loop_inverse(model, s, ginv, tf_eval(model.coupling, s))
+
+
+def _loop_inverse(model, s, ginv, f):
+    n = model.n
     h = f * model.laplacian
     h.flat[:: n + 1] += ginv
     try:
@@ -80,21 +86,63 @@ def eval_t_yu(model, s, ginv=None):
     return inv
 
 
+def _solve_each(a, b):
+    """Stacked ``np.linalg.solve(a, b)`` and the mask of its singular systems.
+
+    ``a`` and ``b`` are (F, m, m) and (F, m, p) stacks. When a system of the
+    stack is exactly singular the others are solved one at a time, which
+    gives the same values; the solution of a singular one is NaN.
+    """
+    try:
+        return np.linalg.solve(a, b), np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan + 0j)
+        singular = np.zeros(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return out, singular
+
+
+def _rank_k_cores(data, ginv, f):
+    """(V^T G^-1 V + f Lambda_k)^-1 V^T at F points, and its singular mask.
+
+    ``ginv`` is the (F, n) array of G^-1 diagonals and ``f`` the (F,)
+    coupling values; the result is an (F, k, n) array, T_k = V_k times it.
+    """
+    v = data.v_k
+    core = (v.T * ginv[:, None, :]) @ v + f[:, None, None] * np.diag(data.lambda_k)
+    vt = np.broadcast_to(v.T.astype(complex), (len(f),) + v.T.shape)
+    return _solve_each(core, vt)
+
+
+def _reduced_cores(reduced, ghat, f):
+    """Reduced-loop cores (I + G_hat L_k f)^-1 G_hat at F points, and their singular mask.
+
+    ``ghat`` is the (F, k) array of aggregate values and ``f`` the (F,)
+    coupling values; the result is an (F, k, k) array C, with T_hat_k =
+    C[assignment][:, assignment] at each point.
+    """
+    k = reduced.k
+    loop = np.eye(k, dtype=complex) + (ghat[:, :, None] * reduced.l_k) * f[:, None, None]
+    rhs = np.zeros(loop.shape, dtype=complex)
+    rhs[:, np.arange(k), np.arange(k)] = ghat
+    return _solve_each(loop, rhs)
+
+
 def eval_t_k(model, data, s, ginv=None):
     """Rank-k truncation V_k (V_k^T G^-1(s) V_k + f(s) Lambda_k)^-1 V_k^T.
 
     ``ginv`` is the diagonal of G^-1(s) when the caller has it already.
     """
-    v = data.v_k
     if ginv is None:
         ginv = _g_inverse_at(model, s)
-    f = tf_eval(model.coupling, s)
-    core = (v.T * ginv) @ v + f * np.diag(data.lambda_k)
-    try:
-        x = np.linalg.solve(core, v.T.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise NearSingular(f"rank-k core singular at s={s}") from exc
-    return v @ x
+    x, singular = _rank_k_cores(data, np.asarray(ginv)[None], np.array([tf_eval(model.coupling, s)]))
+    if singular[0]:
+        raise NearSingular(f"rank-k core singular at s={s}")
+    return data.v_k @ x[0]
 
 
 def eval_t_hat_k(model, reduced, s, ghat=None):
@@ -110,15 +158,12 @@ def eval_t_hat_k(model, reduced, s, ghat=None):
 
 
 def _t_hat_core(reduced, f, s, ghat=None):
-    k = reduced.k
     if ghat is None:
         ghat = np.array([agg(s) for agg in reduced.aggregates])
-    loop = np.eye(k, dtype=complex) + (ghat[:, None] * reduced.l_k) * f
-    rhs = np.diag(ghat)
-    try:
-        return np.linalg.solve(loop, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NearSingular(f"reduced loop singular at s={s}") from exc
+    c, singular = _reduced_cores(reduced, np.asarray(ghat)[None], np.array([f]))
+    if singular[0]:
+        raise NearSingular(f"reduced loop singular at s={s}")
+    return c[0]
 
 
 def theorem1_bound(m1, m2, f_abs, lambda_k1):
@@ -138,6 +183,11 @@ def theorem1_bound(m1, m2, f_abs, lambda_k1):
 def spectral_norm(m):
     """Largest singular value via dense SVD."""
     return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _top_singular(stack):
+    # largest singular value of each matrix of an (F, r, c) stack
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,21 +251,26 @@ def band_error(model, reduced, data, grid, hinf=False):
     or aggregate has a pole are recorded as failures, not fatal; inputs of
     different networks raise ModelMismatch.
 
-    The two differences against T_yu take dense n x n SVDs. The other norms
-    are exact but small: ||T_k|| = ||V_k^T T_k V_k|| because V_k is
-    orthonormal; ||T_hat_k|| = ||D C D|| with C the reduced core (one
-    representative row and column per block) and D = diag(sqrt(n_i)),
-    because the block indicator P is an orthonormal matrix times D; and
-    ||T_k - T_hat_k|| = ||Q^T (T_k - T_hat_k) Q|| with Q an orthonormal
-    basis of [V_k | P], which holds the rows and columns of both terms.
-    ``hinf_t_yu`` and ``hinf_t_hat_k`` are filled only when ``hinf`` is
-    true: ||T_yu|| is a third dense SVD per frequency.
+    The coupling f(jw) is evaluated once per frequency, and the k x k
+    algebra once per grid, stacked over the frequencies without a pole: the
+    rank-k cores X = (V_k^T G^-1 V_k + f Lambda_k)^-1 V_k^T and the reduced
+    cores C take one stacked solve each, and a frequency where one of them
+    is singular becomes a gap. Only the n x n work runs per frequency: the
+    loop inverse T_yu, T_k = V_k X, T_hat_k = C[assignment][:, assignment]
+    and the two dense SVDs of the differences against T_yu. The other norms
+    are exact but small: ||T_k|| = ||X V_k|| because V_k is orthonormal;
+    ||T_hat_k|| = ||D C D|| with D = diag(sqrt(n_i)), because the block
+    indicator P is an orthonormal matrix times D; and ||T_k - T_hat_k|| =
+    ||Q^T (T_k - T_hat_k) Q|| with Q an orthonormal basis of [V_k | P],
+    which holds the rows and columns of both terms. These are stacked SVDs
+    of at most 2k x 2k matrices. ``hinf_t_yu`` and ``hinf_t_hat_k`` are
+    filled only when ``hinf`` is true: ||T_yu|| is a third dense SVD per
+    frequency.
     """
     _check_shapes(model, reduced, data)
     lam_next = data.lambda_next
     v = data.v_k
     assign = reduced.partition.assignment
-    reps = np.unique(assign, return_index=True)[1]
     root_sizes = np.sqrt(reduced.partition.sizes)
     p = np.eye(reduced.k)[assign]
     q = np.linalg.qr(np.hstack([v, p]))[0]
@@ -228,13 +283,10 @@ def band_error(model, reduced, data, grid, hinf=False):
     for j, agg in enumerate(reduced.aggregates):
         ghat[:, j], pole = agg.over(1j * points)
         agg_pole |= pole
-    hinf_yu = hinf_hat = 0.0 if hinf else None
-    per_freq = []
-    err_tk = []
-    err_struct = []
-    bounds = []
-    failures = []
-    bound_ok = True
+
+    failures = {}  # grid index -> message
+    f = np.zeros(points.size, dtype=complex)
+    valid = np.ones(points.size, dtype=bool)
     for i, w in enumerate(points):
         s = 1j * w
         try:
@@ -242,28 +294,50 @@ def band_error(model, reduced, data, grid, hinf=False):
                 raise PoleAtS(f"inverse dynamics has a pole at s={s}")
             if agg_pole[i]:
                 raise PoleAtS(f"aggregate has a pole at s={s}")
-            t_yu = eval_t_yu(model, s, ginv[i])
-            t_k = eval_t_k(model, data, s, ginv[i])
-            t_hat = eval_t_hat_k(model, reduced, s, ghat[i])
+            f[i] = tf_eval(model.coupling, s)
+        except PoleAtS as exc:  # recorded as a gap
+            failures[i] = str(exc)
+            valid[i] = False
+    x, k_singular = _rank_k_cores(data, ginv[valid], f[valid])
+    c, hat_singular = _reduced_cores(reduced, ghat[valid], f[valid])
+
+    done = []  # positions among the valid points, in grid order
+    per_freq = []
+    err_tk = []
+    hinf_yu = 0.0 if hinf else None
+    for j, i in enumerate(np.flatnonzero(valid)):
+        w = points[i]
+        s = 1j * w
+        try:
+            t_yu = _loop_inverse(model, s, ginv[i], f[i])
+            if k_singular[j]:
+                raise NearSingular(f"rank-k core singular at s={s}")
+            if hat_singular[j]:
+                raise NearSingular(f"reduced loop singular at s={s}")
         except NetreduceError as exc:  # recorded as a gap
-            failures.append((float(w), str(exc)))
+            failures[i] = str(exc)
             continue
-        err = spectral_norm(t_yu - t_hat)
-        etk = spectral_norm(t_yu - t_k)
-        x = v.T @ t_k @ v
-        c = t_hat[np.ix_(reps, reps)]
-        m1 = spectral_norm(x)
-        f_abs = abs(tf_eval(model.coupling, s))
-        bd = None if lam_next is None else theorem1_bound(m1, float(m2[i]), f_abs, lam_next)
-        if bd is not None and etk > bd + 1e-7 * (1.0 + bd):
-            bound_ok = False
-        per_freq.append((float(w), err))
-        err_tk.append(etk)
-        err_struct.append(spectral_norm(q_v @ x @ q_v.T - q_p @ c @ q_p.T))
-        bounds.append(bd)
+        done.append(j)
+        per_freq.append((float(w), spectral_norm(t_yu - c[j][assign][:, assign])))
+        err_tk.append(spectral_norm(t_yu - v @ x[j]))
         if hinf:
             hinf_yu = max(hinf_yu, spectral_norm(t_yu))
-            hinf_hat = max(hinf_hat, spectral_norm(root_sizes[:, None] * c * root_sizes))
+
+    x, c = x[done], c[done]
+    xv = x @ v
+    m1 = _top_singular(xv)
+    err_struct = _top_singular(q_v @ xv @ q_v.T - q_p @ c @ q_p.T).tolist()
+    kept = np.flatnonzero(valid)[done]
+    bounds = []
+    bound_ok = True
+    for m1_i, i, etk in zip(m1.tolist(), kept, err_tk):
+        bd = None if lam_next is None else theorem1_bound(m1_i, float(m2[i]), float(abs(f[i])), lam_next)
+        if bd is not None and etk > bd + 1e-7 * (1.0 + bd):
+            bound_ok = False
+        bounds.append(bd)
+    hinf_hat = None
+    if hinf:
+        hinf_hat = float(_top_singular(root_sizes[:, None] * c * root_sizes).max(initial=0.0))
     sup_err = max((e for _, e in per_freq), default=0.0)
     return ErrorReport(
         per_freq=tuple(per_freq),
@@ -271,7 +345,7 @@ def band_error(model, reduced, data, grid, hinf=False):
         bounds=tuple(bounds),
         sup_err=sup_err,
         bound_satisfied=bound_ok,
-        failures=tuple(failures),
+        failures=tuple((float(points[i]), failures[i]) for i in sorted(failures)),
         err_struct=tuple(err_struct),
         sup_struct=max(err_struct, default=0.0),
         hinf_t_yu=hinf_yu,

@@ -137,7 +137,7 @@ class Partition:
         if self.n != other.n or self.k != other.k:
             return False
         pair = self.assignment * other.k + other.assignment
-        return np.unique(pair).size == self.k
+        return np.count_nonzero(np.bincount(pair)) == self.k
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,25 +20,34 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
-def write_matrix_csv(path, matrix, columns=None):
+def write_matrix_csv(path, matrix, columns=None, lead=None):
     """Dense matrix as CSV: one row per line, comma-separated.
 
     Cells print as printf ``%.17g``, or ``%d`` for integer and bool dtypes:
     the same text :func:`fmt` gives. A 1-D ``matrix`` is one row. With
-    ``columns``, a sequence of column indices that may repeat and come in
-    any order, line i holds ``matrix[i, columns]``; each cell of
-    ``matrix`` is still formatted once. Rows are formatted and written one
-    at a time, so no string holds the whole file.
+    ``lead``, a 1-D array of one value per row, line i starts with
+    ``lead[i]``: the text of ``np.column_stack([lead, matrix])``, written
+    without forming that array. With ``columns``, a sequence of column
+    indices into the (lead-extended) rows that may repeat and come in any
+    order, line i holds ``matrix[i, columns]``; each cell of ``matrix`` is
+    still formatted once. Rows are formatted and written one at a time, so
+    no string holds the whole file.
     """
     m = np.atleast_2d(np.asarray(matrix))
-    code = "%d" if m.dtype.kind in "biu" else "%.17g"
-    row = ",".join([code] * m.shape[1])
+    if lead is None:
+        kind, width = m.dtype.kind, m.shape[1]
+        values = (tuple(r.tolist()) for r in m)
+    else:
+        lead = np.asarray(lead)
+        kind, width = np.result_type(lead, m).kind, m.shape[1] + 1
+        values = ((t, *r.tolist()) for t, r in zip(lead.tolist(), m))
+    row = ",".join(["%d" if kind in "biu" else "%.17g"] * width)
     if columns is None:
         row += "\n"
-        lines = (row % tuple(r.tolist()) for r in m)
+        lines = (row % v for v in values)
     else:
-        picked = np.arange(m.shape[1])[np.asarray(columns, dtype=int)].tolist()
-        cells = ((row % tuple(r.tolist())).split(",") for r in m)
+        picked = np.arange(width)[np.asarray(columns, dtype=int)].tolist()
+        cells = ((row % v).split(",") for v in values)
         lines = (",".join([c[i] for i in picked]) + "\n" for c in cells)
     with open(path, "w") as fh:
         fh.writelines(lines)

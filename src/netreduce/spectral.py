@@ -1,4 +1,11 @@
-"""Bottom-k eigendecomposition, spectral clustering, and subspace angles."""
+"""Bottom-k eigendecomposition, spectral clustering, and subspace angles.
+
+Clustering runs k-means++ and Lloyd's iterations for all restarts in
+lockstep, as (restarts, ...) arrays: the random draws are taken in the
+order restarts run one after another would take them, and distances, sums
+and the WCSS are formed in the order a single run forms them, so every
+restart, and the partition chosen, is bit-equal to running them in turn.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     DegenerateEmbedding,
     KTooLarge,
+    NonFinite,
     NotOrthonormal,
     TiedSpectrumWarning,
 )
@@ -189,22 +196,148 @@ def _bottom_k_eig(l, k):
     )
 
 
-def _kmeans_pp_init(x, k, rng):
+def _distinct_rows(x):
+    # number of distinct rows: sort them lexicographically, count the changes
+    xs = x[np.lexsort(x.T[::-1])]
+    return 1 + int(np.count_nonzero((xs[1:] != xs[:-1]).any(axis=1)))
+
+
+def _pairwise_sum(term, lo, hi):
+    # term(lo) + ... + term(hi - 1) elementwise, in the order of numpy's
+    # pairwise summation (PW_BLOCKSIZE 128, 8 accumulators): the order in
+    # which ``a.sum(axis=-1)`` adds a contiguous last axis of hi - lo
+    # entries. Each term is made just before it is added, in place.
+    m = hi - lo
+    if m < 8:
+        total = term(lo)
+        for c in range(lo + 1, hi):
+            total += term(c)
+        return total
+    if m <= 128:
+        r = [term(lo + j) for j in range(8)]
+        for i in range(8, m - m % 8, 8):
+            for j in range(8):
+                r[j] += term(lo + i + j)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for c in range(lo + m - m % 8, hi):
+            total += term(c)
+        return total
+    half = m // 2 - (m // 2) % 8
+    return _pairwise_sum(term, lo, lo + half) + _pairwise_sum(term, lo + half, hi)
+
+
+def _sq_dist(a, b):
+    # ((a - b) ** 2).sum(axis=-1) for broadcastable a and b, bit for bit,
+    # formed one column at a time instead of as the broadcast difference
+    def term(c):
+        diff = a[..., c] - b[..., c]
+        return np.square(diff, out=diff)
+
+    return _pairwise_sum(term, 0, a.shape[-1])
+
+
+def _cdf_pick(weights, total, u):
+    # rng.choice(n, p=weights[r] / total[r]) of each row r, given the
+    # uniform draw u[r] that choice makes: the normalized CDF of p, searched
+    # with side="right", which counts the entries <= u[r]
+    cdf = (weights / total[:, None]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+def _kmeans_pp(x, k, restarts, rng):
+    """k-means++ initial centroids of all restarts, a (restarts, k, d) array.
+
+    Consumes ``rng`` as restarts run one after another would: per restart
+    ``rng.integers(n)`` for the first center, then per further center one
+    ``rng.random()`` mapped through the normalized CDF of d^2 weights, which
+    is what ``rng.choice(n, p=d2 / d2.sum())`` does, or ``rng.integers(n)``
+    once the chosen centers cover every distinct row and d^2 is zero. Each
+    CDF draw picks a row not yet covered, so with m distinct rows the first
+    min(m, k) - 1 further centers are CDF draws in every restart.
+    """
     n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    idx = rng.integers(n)
-    centers[0] = x[idx]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            # all remaining points coincide with a chosen center
-            idx = rng.integers(n)
-        else:
-            idx = rng.choice(n, p=d2 / total)
-        centers[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
-    return centers
+    n_cdf = min(_distinct_rows(x), k) - 1
+    u = np.empty((restarts, n_cdf))
+    picks = np.empty((restarts, k), dtype=np.int64)
+    for r in range(restarts):
+        picks[r, 0] = rng.integers(n)
+        u[r] = rng.random(n_cdf)
+        picks[r, n_cdf + 1 :] = [rng.integers(n) for _ in range(k - 1 - n_cdf)]
+    d2 = _sq_dist(x, x[picks[:, 0]][:, None, :])
+    for j in range(1, n_cdf + 1):
+        total = d2.sum(axis=1)
+        # zero only when the squares of distinct rows' differences underflow
+        if not np.all((total > 0.0) & (total < np.inf)):
+            raise DegenerateEmbedding("squared distances between embedding rows under- or overflow")
+        picks[:, j] = _cdf_pick(d2, total, u[:, j - 1])
+        if j < n_cdf:
+            d2 = np.minimum(d2, _sq_dist(x, x[picks[:, j]][:, None, :]))
+    return x[picks]
+
+
+def _repair_empty(labels, dist_own, counts):
+    # reseed each empty cluster, in ascending order, with the point farthest
+    # from its own centroid among those whose cluster keeps another member
+    for j in np.flatnonzero(counts == 0):
+        movable = counts[labels] > 1
+        far = int(np.argmax(np.where(movable, dist_own, -1.0)))
+        counts[labels[far]] -= 1
+        labels[far] = j
+        counts[j] = 1
+        dist_own[far] = 0.0
+
+
+def lloyd(x, centroids, max_iter):
+    """Lloyd iterations of many k-means runs on the rows of ``x`` in lockstep.
+
+    ``centroids`` is a (runs, k, d) array of initial centroids. Each run
+    assigns every row to its nearest centroid, ties to the lowest cluster
+    index; reseeds an empty cluster with the rule of ``_repair_empty``; and
+    moves each centroid to the mean of its rows. A run stops when its
+    assignment is unchanged or after ``max_iter`` sweeps. Distances, sums
+    and the WCSS are formed in the order a run on its own would use, so
+    every run's result is bit-equal to running it alone. Returns (labels,
+    centroids, wcss, n_iter) with shapes (runs, n), (runs, k, d), (runs,)
+    and (runs,).
+    """
+    runs, k, _ = centroids.shape
+    n = x.shape[0]
+    cent = centroids.copy()
+    labels = np.full((runs, n), -1, dtype=np.int64)
+    n_iter = np.zeros(runs, dtype=np.int64)
+    live = np.arange(runs)
+    for _ in range(max_iter):
+        n_iter[live] += 1
+        # (runs, k, n): the rows run along the contiguous axis; the nearest
+        # centroid is found cluster by cluster, ties to the lowest index
+        d2 = _sq_dist(x, cent[live][:, :, None, :])
+        new = np.zeros((live.size, n), dtype=np.int64)
+        dist_own = d2[:, 0].copy()
+        for j in range(1, k):
+            new[d2[:, j] < dist_own] = j
+            np.minimum(dist_own, d2[:, j], out=dist_own)
+        bins = (new + k * np.arange(live.size)[:, None]).ravel()
+        counts = np.bincount(bins, minlength=live.size * k).reshape(-1, k)
+        for r in np.flatnonzero(counts.min(axis=1) == 0):
+            _repair_empty(new[r], dist_own[r], counts[r])
+        moved = (new != labels[live]).any(axis=1)
+        labels[live] = new
+        live, new, counts = live[moved], new[moved], counts[moved]
+        if not live.size:
+            break
+        # per-cluster sums in row order, as np.add.at accumulates them
+        bins = (new + k * np.arange(live.size)[:, None]).ravel()
+        moved_cent = np.empty((live.size, k, x.shape[1]))
+        for c, col in enumerate(x.T):
+            sums = np.bincount(bins, weights=np.tile(col, live.size), minlength=live.size * k)
+            moved_cent[:, :, c] = sums.reshape(live.size, k) / counts
+        cent[live] = moved_cent
+    # (own - x)^2 equals (x - own)^2 bit for bit: IEEE subtraction is antisymmetric
+    diff = cent[np.arange(runs)[:, None], labels]
+    diff -= x
+    wcss = np.square(diff, out=diff).reshape(runs, -1).sum(axis=1)
+    return labels, cent, wcss, n_iter
 
 
 def _canonical_labels(labels, centroids):
@@ -229,8 +362,16 @@ def cluster_embedding(data, k, restarts=50, seed=0, max_iter=300):
     labels are canonicalized by lexicographic centroid order, leaving out
     columns that are constant across centroids up to a relative 1e-9.
 
-    Raises DegenerateEmbedding when every restart converges with two
-    centroids closer than 1e-12.
+    All restarts run in lockstep (``_kmeans_pp`` and ``lloyd``) and give the
+    labels, centroids and WCSS that running them one after another from the
+    same ``seed`` gives, so the best restart is the first one of least WCSS
+    whose centroids are pairwise more than 1e-12 apart.
+
+    Raises NonFinite, a ValueError, when the embedding holds NaN or inf, and
+    DegenerateEmbedding when every restart converges with two centroids
+    closer than 1e-12, or when two distinct rows are so close (below about
+    1e-154 apart) that their squared distance underflows to zero, which
+    k-means++ cannot tell from equal rows.
     """
     if isinstance(data, SpectralData):
         x = np.asarray(data.v_k, dtype=float)
@@ -243,22 +384,20 @@ def cluster_embedding(data, k, restarts=50, seed=0, max_iter=300):
         raise KTooLarge(f"k={k} exceeds number of rows {n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not np.isfinite(x).all():
+        raise NonFinite("embedding has non-finite entries")
 
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        init = _kmeans_pp_init(x, k, rng)
-        labels, cent, wcss, _ = _kernels.lloyd(x, init, max_iter)
-        sep = np.inf
-        for i in range(k):
-            for j in range(i + 1, k):
-                sep = min(sep, float(np.linalg.norm(cent[i] - cent[j])))
-        if sep > 1e-12 and (best is None or wcss < best[0]):
-            best = (wcss, labels, cent)
-    if best is None:
+    init = _kmeans_pp(x, k, restarts, np.random.default_rng(seed))
+    labels, cent, wcss, _ = lloyd(x, init, max_iter)
+    i, j = np.triu_indices(k, 1)
+    sep = np.sqrt(_sq_dist(cent[:, i], cent[:, j])).min(axis=1, initial=np.inf)
+    ok = sep > 1e-12
+    if not ok.any():
         raise DegenerateEmbedding("all restarts converged with coinciding centroids")
-    _, labels, cent = best
-    return Partition(_canonical_labels(labels, cent), k)
+    best = int(np.argmin(np.where(ok, wcss, np.inf)))
+    return Partition(_canonical_labels(labels[best], cent[best]), k)
 
 
 def wcss_of(x, partition):

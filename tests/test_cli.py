@@ -380,22 +380,29 @@ class TestExperiment:
 
 
 # run in a fresh interpreter, since this test process may have loaded scipy
-# for the reference solutions of other tests
-NO_SCIPY_CHILD = """
+# for the reference solutions of other tests, and numpy.ma through them;
+# experiment runs serially
+LEAN_CHILD = """
 import json, sys
 from netreduce.cli import main
 cfg, out, *commands = sys.argv[1:]
-codes = [main([cmd, "--config", cfg, "--out", f"{out}/{cmd}"]) for cmd in commands]
-loaded = [m for m in sys.modules if m.startswith("scipy") or m == "concurrent.futures.process"]
+codes = [
+    main([cmd, "--config", cfg, "--out", f"{out}/{cmd}", *(["--jobs", "1"] if cmd == "experiment" else [])])
+    for cmd in commands
+]
+loaded = [
+    m for m in sys.modules
+    if m.startswith("scipy") or m in ("concurrent.futures.process", "numpy.ma")
+]
 print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
 """
 
 
-def run_no_scipy_child(tmp_path, doc, *commands):
+def run_lean_child(tmp_path, doc, *commands):
     cfg = write_config(tmp_path, doc)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(netreduce.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_CHILD, cfg, str(tmp_path / "out"), *commands],
+        [sys.executable, "-c", LEAN_CHILD, cfg, str(tmp_path / "out"), *commands],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return json.loads(proc.stdout)
@@ -403,11 +410,22 @@ def run_no_scipy_child(tmp_path, doc, *commands):
 
 def test_small_commands_load_neither_scipy_nor_a_process_pool(tmp_path):
     doc = base_config(grid_size=10, sim={"dt": 1e-3, "t_end": 0.5, "input_node": 1})
-    assert run_no_scipy_child(tmp_path, doc, "evaluate", "simulate") == {"codes": [0, 0], "loaded": []}
+    assert run_lean_child(tmp_path, doc, "evaluate", "simulate") == {"codes": [0, 0], "loaded": []}
 
 
 def test_reduce_above_dense_max_n_loads_no_scipy(tmp_path):
     doc = base_config(restarts=5)
     doc["wsbm"]["sizes"] = [256, 512, 258]
     assert sum(doc["wsbm"]["sizes"]) > _DENSE_MAX_N
-    assert run_no_scipy_child(tmp_path, doc, "reduce") == {"codes": [0], "loaded": []}
+    assert run_lean_child(tmp_path, doc, "reduce") == {"codes": [0], "loaded": []}
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique and np.median import numpy.ma, about 15 ms in every process
+    doc = base_config(
+        grid_size=10, seeds=[0, 1], scales=[1, 2], restarts=5,
+        sim={"dt": 1e-3, "t_end": 0.5, "input_node": 1},
+    )
+    doc["wsbm"]["sizes"] = [8, 16, 8]
+    commands = ("reduce", "evaluate", "simulate", "experiment")
+    assert run_lean_child(tmp_path, doc, *commands) == {"codes": [0] * 4, "loaded": []}

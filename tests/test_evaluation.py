@@ -283,7 +283,8 @@ class TestBandError:
         def broken(*args, **kwargs):
             raise ValueError("broken kernel")
 
-        monkeypatch.setattr(evaluation, "eval_t_k", broken)
+        # the loop inverse is the per-frequency call of the dense work
+        monkeypatch.setattr(evaluation, "_loop_inverse", broken)
         with pytest.raises(ValueError, match="broken kernel"):
             band_error(model, reduced, reduced.spectral, FreqGrid.default(n_points=5))
 
@@ -356,7 +357,8 @@ class TestBandErrorNorms:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         band_error(model, reduced, reduced.spectral, FreqGrid.default(n_points=7), hinf=hinf)
         assert shapes.count((model.n, model.n)) == per_freq * 7
-        assert max(max(s) for s in shapes if s != (model.n, model.n)) <= 6
+        # the other norms are stacked SVDs of at most 2k x 2k matrices
+        assert max(max(s[-2:]) for s in shapes if s != (model.n, model.n)) <= 6
 
     def test_hinf_fields_only_on_request(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
@@ -367,6 +369,89 @@ class TestBandErrorNorms:
         full = band_error(model, reduced, reduced.spectral, grid, hinf=True)
         assert full.hinf_t_yu > 0 and full.hinf_t_hat_k > 0
         assert full.per_freq == report.per_freq and full.err_struct == report.err_struct
+
+
+class TestGridPass:
+    def test_matches_per_point_evaluation(self, eq15_params):
+        # the stacked k x k algebra against the one-point functions and the
+        # formulas it replaces: M1 = ||V^T T_k V||, ||T_k - T_hat_k|| and
+        # ||T_hat_k|| from dense SVDs
+        model, _ = make_swing_model(eq15_params, seed=3)
+        reduced = run_algorithm_1(model, 3, seed=3)
+        data = reduced.spectral
+        grid = FreqGrid.default(n_points=12)
+        report = band_error(model, reduced, data, grid, hinf=True)
+        assert report.failures == ()
+        hinf_yu = hinf_hat = 0.0
+        for i, w in enumerate(grid.points):
+            s = 1j * w
+            t_yu = eval_t_yu(model, s)
+            t_k = eval_t_k(model, data, s)
+            t_hat = eval_t_hat_k(model, reduced, s)
+            m1 = spectral_norm(data.v_k.T @ t_k @ data.v_k)
+            m2 = float(np.max(1.0 / np.abs([g(s) for g in model.nodes])))
+            f_abs = abs(tf_eval(model.coupling, s))
+            want = {
+                "err": spectral_norm(t_yu - t_hat),
+                "etk": spectral_norm(t_yu - t_k),
+                "struct": spectral_norm(t_k - t_hat),
+                "bound": theorem1_bound(m1, m2, f_abs, data.lambda_next),
+            }
+            got = {
+                "err": report.per_freq[i][1],
+                "etk": report.err_tk[i],
+                "struct": report.err_struct[i],
+                "bound": report.bounds[i],
+            }
+            assert report.per_freq[i][0] == w
+            for key, value in want.items():
+                if value is None:
+                    assert got[key] is None, key
+                else:
+                    assert got[key] == pytest.approx(value, rel=1e-13, abs=1e-13 * spectral_norm(t_k)), key
+            hinf_yu = max(hinf_yu, spectral_norm(t_yu))
+            hinf_hat = max(hinf_hat, spectral_norm(t_hat))
+        assert report.hinf_t_yu == pytest.approx(hinf_yu, rel=1e-13)
+        assert report.hinf_t_hat_k == pytest.approx(hinf_hat, rel=1e-13)
+
+    @staticmethod
+    def _four_nodes(nodes, data=None):
+        # path 0-1-2-3, groups {0, 1} and {2, 3}, unit coupling, and the
+        # reduced Laplacian [[1, -1], [-1, 1]]
+        a = np.diag([1.0, 2.0, 1.0], 1)
+        model = NetworkModel(nodes=nodes, coupling=UNIT_GAIN, laplacian=laplacian(a + a.T))
+        part = Partition(np.array([0, 0, 1, 1]), 2)
+        reduced = ReducedModel(
+            partition=part,
+            lambda_k=np.array([0.0, 2.0]),
+            l_k=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+            aggregates=tuple(AggregateEvaluator([nodes[j] for j in b]) for b in part.blocks()),
+            s_matrix=np.eye(2),
+            coupling=UNIT_GAIN,
+        )
+        data = data or bottom_k_eig(model.laplacian, 2)
+        grid = FreqGrid(eta=2.0, omega_min=0.5, points=np.array([0.5, 1.0, 2.0]))
+        return band_error(model, reduced, data, grid, hinf=True)
+
+    def test_singular_rank_k_core_is_one_gap(self):
+        # with V = [e_0, e_2] and Lambda = diag(0, 1) the core at s = j is
+        # diag(1/g_0(j), 1/g_2(j) + 1), and 1/g_0 = s^2 + 1 vanishes there
+        nodes = [RationalTF((1.0,), (1.0, 0.0, 1.0)), RationalTF((1.0,), (1.0, 1.0))]
+        nodes += [RationalTF((1.0,), (2.0, 1.0))] * 2
+        data = SpectralData(np.array([0.0, 1.0]), np.eye(4)[:, [0, 2]])
+        report = self._four_nodes(nodes, data)
+        assert report.failures == ((1.0, "rank-k core singular at s=1j"),)
+        assert [w for w, _ in report.per_freq] == [0.5, 2.0]
+        assert len(report.err_tk) == len(report.bounds) == len(report.err_struct) == 2
+
+    def test_singular_reduced_loop_is_one_gap(self):
+        # aggregates -1/2 + j/2 and -1/2 - j/2 at s = j, so the reduced loop
+        # I + G_hat L_k has two equal rows there and an exactly zero pivot
+        nodes = [RationalTF((2.0,), (0.0, -1.0, 1.0))] * 2 + [RationalTF((2.0,), (0.0, 1.0, 1.0))] * 2
+        report = self._four_nodes(nodes)
+        assert report.failures == ((1.0, "reduced loop singular at s=1j"),)
+        assert [w for w, _ in report.per_freq] == [0.5, 2.0]
+        assert len(report.err_tk) == len(report.bounds) == len(report.err_struct) == 2
 
 
 def _decoupled_report(model, grid):

@@ -26,9 +26,9 @@ def _format_csv(matrix, columns):
     return "".join(line.format(*(row % tuple(r.tolist())).split(",")) for r in m)
 
 
-def _written(tmp_path, matrix, columns=None):
+def _written(tmp_path, matrix, columns=None, lead=None):
     path = tmp_path / "m.csv"
-    write_matrix_csv(path, matrix, columns=columns)
+    write_matrix_csv(path, matrix, columns=columns, lead=lead)
     return path.read_text()
 
 
@@ -107,3 +107,17 @@ class TestWriteMatrixCsv:
     def test_column_out_of_range(self, tmp_path):
         with pytest.raises(IndexError):
             write_matrix_csv(tmp_path / "m.csv", np.zeros((2, 3)), columns=[0, 3])
+
+    @pytest.mark.parametrize("columns", [None, [0, 2, 2, 1, 0], []])
+    @pytest.mark.parametrize(
+        "lead_dtype,dtype",
+        [(np.float64, np.float64), (np.int64, np.int64), (np.float64, np.int64), (np.int64, bool)],
+    )
+    def test_lead_column_matches_column_stack(self, tmp_path, columns, lead_dtype, dtype):
+        m = np.array([[0.1, -0.0], [np.nan, 1e17], [5e-324, -np.inf]])
+        if dtype is not np.float64:
+            m = np.array([[1, 0], [-3, 2**40], [0, 7]]).astype(dtype)
+        lead = np.array([0.0, 1 / 3, 2.5]).astype(lead_dtype)
+        joined = np.column_stack([lead, m])
+        want = _old_csv(joined) if columns is None else _old_csv(joined[:, columns])
+        assert _written(tmp_path, m, columns, lead) == want

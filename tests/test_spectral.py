@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from netreduce import (
     DegenerateEmbedding,
@@ -22,7 +25,7 @@ from netreduce import (
     sin_theta,
     spectral_norm,
 )
-from netreduce import _kernels, run_algorithm_1, spectral
+from netreduce import run_algorithm_1, spectral
 from netreduce.config import build_model, config_from_dict
 from netreduce.spectral import _DENSE_MAX_N
 
@@ -323,19 +326,189 @@ class TestLloyd:
         # start empty-prone; repair must keep every cluster nonempty
         x = np.vstack([np.zeros((5, 2)), np.full((5, 2), 10.0), np.array([[30.0, 30.0]])])
         init = np.array([[30.0, 30.0], [29.0, 30.0], [0.0, 0.0]])
-        labels, cent, wcss, _ = _kernels.lloyd(x, init, 300)
-        assert np.bincount(labels, minlength=3).min() >= 1
+        labels, cent, wcss, _ = spectral.lloyd(x, init[None], 300)
+        assert np.bincount(labels[0], minlength=3).min() >= 1
 
     def test_converges_and_reports_iterations(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((40, 2))
         init = x[:4].copy()
-        labels, cent, wcss, n_iter = _kernels.lloyd(x, init, 300)
-        assert 1 <= n_iter <= 300
+        labels, cent, wcss, n_iter = spectral.lloyd(x, init[None], 300)
+        assert 1 <= n_iter[0] <= 300
         # assignment is a fixed point: one more sweep changes nothing
-        labels2, _, wcss2, n2 = _kernels.lloyd(x, cent.copy(), 300)
+        labels2, _, wcss2, n2 = spectral.lloyd(x, cent.copy(), 300)
         np.testing.assert_array_equal(labels2, labels)
-        assert wcss2 == pytest.approx(wcss, rel=1e-12)
+        assert wcss2[0] == pytest.approx(wcss[0], rel=1e-12)
+
+
+def _sequential_kmeans_pp(x, k, rng):
+    # k-means++ of one restart, drawing with rng.choice: the reference the
+    # lockstep initialization must reproduce draw for draw
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            # all remaining points coincide with a chosen center
+            idx = rng.integers(n)
+        else:
+            idx = rng.choice(n, p=d2 / total)
+        centers[j] = x[idx]
+        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _sequential_lloyd(x, centroids, max_iter):
+    # Lloyd iterations of one run with np.add.at: the per-run reference
+    n = x.shape[0]
+    k = centroids.shape[0]
+    cent = centroids.copy()
+    labels = np.full(n, -1, dtype=np.int64)
+    n_iter = 0
+    repaired = False
+    for _ in range(max_iter):
+        n_iter += 1
+        d2 = ((x[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        dist_own = d2[np.arange(n), new_labels]
+        counts = np.bincount(new_labels, minlength=k)
+        for j in range(k):
+            if counts[j] == 0:
+                repaired = True
+                movable = counts[new_labels] > 1
+                far = int(np.argmax(np.where(movable, dist_own, -1.0)))
+                counts[new_labels[far]] -= 1
+                new_labels[far] = j
+                counts[j] = 1
+                dist_own[far] = 0.0
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+        cent = np.zeros_like(cent)
+        np.add.at(cent, labels, x)
+        cent /= counts[:, None]
+    wcss = float(((x - cent[labels]) ** 2).sum())
+    return labels, cent, wcss, n_iter, repaired
+
+
+def _sequential_cluster(x, k, restarts, seed, max_iter):
+    # the restarts one after another; the best is the first of least WCSS
+    # whose centroids are pairwise more than 1e-12 apart
+    rng = np.random.default_rng(seed)
+    runs = [_sequential_lloyd(x, _sequential_kmeans_pp(x, k, rng), max_iter) for _ in range(restarts)]
+    best = None
+    for labels, cent, wcss, _, _ in runs:
+        sep = min(
+            (float(np.linalg.norm(cent[i] - cent[j])) for i in range(k) for j in range(i + 1, k)),
+            default=np.inf,
+        )
+        if sep > 1e-12 and (best is None or wcss < best[0]):
+            best = (wcss, labels, cent)
+    return runs, best
+
+
+# values whose nonzero differences have squares far above the underflow
+# threshold; a small pool of repeated values makes duplicate rows likely
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -2.5, 0.125]),
+    st.floats(-100.0, 100.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100),
+)
+
+
+@st.composite
+def _embeddings(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 10))
+    distinct = draw(st.integers(1, n))
+    base = draw(arrays(float, (distinct, d), elements=_VALUES))
+    rows = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    return base[np.array(rows)]
+
+
+class TestLockstepKMeans:
+    @given(
+        x=_embeddings(),
+        k=st.integers(1, 6),
+        restarts=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        max_iter=st.sampled_from([1, 2, 300]),
+    )
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_restarts_match_sequential_runs_bit_for_bit(self, x, k, restarts, seed, max_iter):
+        k = min(k, x.shape[0])
+        runs, best = _sequential_cluster(x, k, restarts, seed, max_iter)
+        init = spectral._kmeans_pp(x, k, restarts, np.random.default_rng(seed))
+        labels, cent, wcss, n_iter = spectral.lloyd(x, init, max_iter)
+        for r, (ref_labels, ref_cent, ref_wcss, ref_iter, _) in enumerate(runs):
+            np.testing.assert_array_equal(labels[r], ref_labels)
+            np.testing.assert_array_equal(cent[r], ref_cent)
+            assert wcss[r] == ref_wcss
+            assert n_iter[r] == ref_iter
+        if x.shape[1] >= k:
+            if best is None:
+                with pytest.raises(DegenerateEmbedding):
+                    cluster_embedding(x, k, restarts=restarts, seed=seed, max_iter=max_iter)
+            else:
+                found = cluster_embedding(x, k, restarts=restarts, seed=seed, max_iter=max_iter)
+                assert found.same_blocks(Partition(best[1], k))
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 16, 17, 40, 300])
+    def test_distances_add_columns_in_numpy_order(self, d):
+        # a one-ulp change in a distance rarely moves a label, so the
+        # summation order is checked on the distances themselves
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((30, d)) * np.exp(rng.uniform(-8.0, 8.0, d))
+        c = rng.standard_normal((5, 1, 4, d))
+        want = ((x[:, None, :] - c) ** 2).sum(axis=-1)
+        np.testing.assert_array_equal(spectral._sq_dist(x[:, None, :], c), want)
+
+    def test_inputs_reach_the_repair_and_the_uniform_draw(self):
+        # fewer distinct rows than k: k-means++ falls back to rng.integers
+        # and coinciding centroids leave a cluster empty, so the repair runs
+        x = np.repeat(np.array([[0.0, 1.0], [3.0, -1.0]]), [4, 3], axis=0)
+        runs, _ = _sequential_cluster(x, 4, 6, 11, 300)
+        assert any(repaired for *_, repaired in runs)
+        init = spectral._kmeans_pp(x, 4, 6, np.random.default_rng(11))
+        labels, cent, wcss, _ = spectral.lloyd(x, init, 300)
+        for r, (ref_labels, ref_cent, ref_wcss, _, _) in enumerate(runs):
+            np.testing.assert_array_equal(labels[r], ref_labels)
+            np.testing.assert_array_equal(cent[r], ref_cent)
+            assert wcss[r] == ref_wcss
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cdf_draw_is_what_choice_draws(self, seed):
+        # the contract with numpy: choice(n, p) maps one rng.random() through
+        # the normalized CDF of p and leaves the stream where random() does
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        w = rng.random(n) * (rng.random(n) < 0.7)
+        w[rng.integers(n)] = rng.random() + 0.1
+        total = np.array([w.sum()])
+        for draw_seed in range(20):
+            a, b = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+            picked = a.choice(n, p=w / total[0])
+            assert spectral._cdf_pick(w[None], total, np.array([b.random()]))[0] == picked
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_non_finite_embedding_raises(self, bad, k):
+        x = np.random.default_rng(0).standard_normal((12, 3))
+        x[5, 1] = bad
+        with pytest.raises(ValueError):
+            cluster_embedding(x, k, restarts=4, seed=0)
+        with pytest.raises(NonFinite):
+            cluster_embedding(x, k, restarts=4, seed=0)
+
+    def test_squared_distances_that_underflow_raise(self):
+        # rows 0 and 1 differ, but the square of their difference is zero:
+        # the distinct rows cannot all be told apart by distance
+        x = np.array([[0.0, 0.0, 0.0], [1e-170, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateEmbedding):
+            cluster_embedding(x, 3, restarts=3, seed=0)
 
 
 class TestSinTheta:

@@ -1,0 +1,160 @@
+"""Per-stage timings of an `experiment` cell: clustering, `band_error` and whole cells.
+
+Usage (from the repository root):
+
+    python tools/bench_cells.py --before OTHER/src [--repeats 5] [--tier1] [--out BENCH_cells.json]
+
+Times, on the three-group WSBM of the benchmark workloads (sizes in the
+ratio 1:2:1, swing nodes, f = 1/s, k = 3, graph seed 0):
+
+- ``cluster_embedding`` (50 restarts) of the bottom-3 embedding at n = 80,
+  320 and 1280;
+- ``band_error`` on a 20-point grid over [1e-3, 10] at n = 32, 64, 160 and
+  320, with ``hinf`` off and on;
+- one ``experiment`` cell (``cli._experiment_cell``) of the
+  ``experiment-pool`` workload's config at n = 32 and 64 (scales 1 and 2):
+  the first cell of the process, which pays lazy imports, and the median
+  of the next ones.
+
+Every other stage is the median of ``INNER`` calls after one warm-up call.
+Each measurement runs in a fresh interpreter through the harness of
+``bench_simulate.py``, alternating the two trees ``--repeats`` times. With
+``--tier1`` the tier-1 suite (``python -m pytest -q``) of each tree also
+runs once, the tree's ``tests`` next to its ``src``, and its wall time is
+recorded.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+from bench_simulate import THREAD_VARS, compare, parse_args, write_report
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+Q = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+W = [[20.0, 0.4, 0.8], [0.4, 20.0, 0.7], [0.8, 0.7, 20.0]]
+CLUSTER_N = (80, 320, 1280)
+BAND_N = (32, 64, 160, 320)
+GRID_SIZE = 20
+INNER = 5
+
+
+def _doc(n, **extra):
+    doc = {
+        "wsbm": {"sizes": [n // 4, n // 2, n // 4], "q": Q, "w": W},
+        "nodes": {"preset": "swing", "m_range": [1.0, 3.0], "d_range": [0.5, 1.5]},
+        "coupling": {"num": [1.0], "den": [0.0, 1.0]},
+        "k": 3,
+        "eta": 10.0,
+        "omega_min": 0.001,
+        "restarts": 50,
+        "grid_size": GRID_SIZE,
+        "seeds": [0],
+    }
+    doc.update(extra)
+    return doc
+
+
+def _median_time(fn):
+    fn()
+    times = []
+    for _ in range(INNER):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def measure():
+    """Time every stage in this interpreter; returns {stage: seconds} and the thread settings."""
+    import netreduce  # noqa: F401  (sets the one-thread BLAS default first)
+
+    from netreduce import cli
+    from netreduce.config import build_model, config_from_dict
+    from netreduce.evaluation import FreqGrid, band_error
+    from netreduce.reduction import run_algorithm_1
+    from netreduce.spectral import bottom_k_eig, cluster_embedding
+
+    times = {}
+    # the experiment cells first, so that the first one is the process's first
+    config = config_from_dict(_doc(32, scales=[1, 2], grid_size=20, seeds=[0, 1, 2, 3]))
+    t0 = time.perf_counter()
+    cli._experiment_cell((config, 1, 0))
+    times["experiment_cell/first/n=32"] = time.perf_counter() - t0
+    for scale in (1, 2):
+        cells = iter(range(1, 1 + INNER + 1))
+        times[f"experiment_cell/n={32 * scale}"] = _median_time(
+            lambda: cli._experiment_cell((config, scale, next(cells)))
+        )
+
+    for n in CLUSTER_N:
+        model, _, _ = build_model(config_from_dict(_doc(n)), 0)
+        data = bottom_k_eig(model.laplacian, 3)
+        times[f"cluster_embedding/n={n}"] = _median_time(
+            lambda: cluster_embedding(data, 3, restarts=50, seed=0)
+        )
+    grid = FreqGrid.default(10.0, 1e-3, GRID_SIZE)
+    for n in BAND_N:
+        model, _, _ = build_model(config_from_dict(_doc(n)), 0)
+        reduced = run_algorithm_1(model, 3, seed=0)
+        for hinf in (False, True):
+            times[f"band_error/hinf={int(hinf)}/n={n}"] = _median_time(
+                lambda: band_error(model, reduced, reduced.spectral, grid, hinf=hinf)
+            )
+    return {"times": times, "thread_env": {v: os.environ.get(v) for v in THREAD_VARS}}
+
+
+def _tier1(src):
+    """Wall time and summary line of the tier-1 suite of the tree that holds ``src``."""
+    tree = os.path.dirname(os.path.abspath(src))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+        env=env, cwd=tree, capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "summary": lines[-1] if lines else "", "returncode": proc.returncode}
+
+
+def main(argv=None):
+    args = parse_args(
+        argv,
+        __doc__,
+        "BENCH_cells.json",
+        lambda ap: ap.add_argument("--tier1", action="store_true", help="also time each tree's tier-1 suite"),
+    )
+    if args.measure:
+        print(json.dumps(measure()))
+        return 0
+    stages, thread_env = compare(__file__, args.before, args.repeats)
+    doc = {
+        "what": "wall time of each experiment-cell stage, before and after, each run in a fresh "
+        f"interpreter; a stage is the median of {INNER} calls after a warm-up call, except "
+        "experiment_cell/first, the first cell of the process",
+        "inputs": "three-group WSBM with sizes n/4, n/2, n/4 and the q, w of perfbench/workloads.py, "
+        f"graph seed 0, swing nodes, f = 1/s, k = 3, 50 restarts, {GRID_SIZE}-point grid on "
+        "[1e-3, 10]; experiment cells: sizes 8/16/8, scales 1 and 2, seeds 0-6",
+        "repeats": args.repeats,
+        "thread_env": thread_env,
+    }
+    if args.tier1:
+        doc["tier1"] = {
+            "before": _tier1(args.before),
+            "after": _tier1(os.path.join(ROOT, "src")),
+        }
+    write_report(args.out, doc, stages)
+    for side, res in doc.get("tier1", {}).items():
+        print(f"tier-1 {side}: {res['wall_s']:.1f} s, {res['summary']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -100,11 +100,11 @@ def measure():
     return {"times": times, "thread_env": {v: os.environ.get(v) for v in THREAD_VARS}}
 
 
-def _child(src):
+def _child(script, src):
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = os.path.abspath(src)
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--measure"],
+        [sys.executable, os.path.abspath(script), "--measure"],
         env=env, cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out.splitlines()[-1])
@@ -129,26 +129,33 @@ def _machine():
     }
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+def parse_args(argv, doc, default_out, extra=None):
+    """The harness's command line: --before, --repeats, --out and the hidden --measure."""
+    ap = argparse.ArgumentParser(description=doc.split("\n")[0])
     ap.add_argument("--before", help="src directory of the commit to compare against")
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_simulate.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, default_out))
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    if extra:
+        extra(ap)
     args = ap.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure()))
-        return 0
-    if not args.before:
+    if not args.measure and not args.before:
         ap.error("--before is required")
+    return args
 
-    sides = {"before": args.before, "after": os.path.join(ROOT, "src")}
+
+def compare(script, before, repeats):
+    """Run ``script --measure`` against both trees, alternating, and summarize each stage.
+
+    Returns (stages, thread_env): per stage the median, min and max seconds
+    of each side, and the thread variables each side's children saw.
+    """
+    sides = {"before": before, "after": os.path.join(ROOT, "src")}
     runs = {side: [] for side in sides}
-    for r in range(args.repeats):
+    for r in range(repeats):
         for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
-            runs[side].append(_child(sides[side]))
-            print(f"# repeat {r + 1}/{args.repeats} {side} done", file=sys.stderr)
-
+            runs[side].append(_child(script, sides[side]))
+            print(f"# repeat {r + 1}/{repeats} {side} done", file=sys.stderr)
     stages = {}
     for name in runs["after"][0]["times"]:
         stages[name] = {}
@@ -159,21 +166,34 @@ def main(argv=None):
                 "min_s": min(vals),
                 "max_s": max(vals),
             }
-    doc = {
-        "what": "wall time of each simulate stage, before and after, each run in a fresh interpreter",
-        "inputs": "eq15 three-group graph (20/40/20 scaled by 1 and 4), graph seed 0, "
-        "swing nodes, f = 1/s, k = 3, dt = 1e-3, unit step at node 1",
-        "repeats": args.repeats,
-        "machine": _machine(),
-        "thread_env": {side: res[0]["thread_env"] for side, res in runs.items()},
-        "stages": stages,
-    }
-    with open(args.out, "w") as fh:
+    return stages, {side: res[0]["thread_env"] for side, res in runs.items()}
+
+
+def write_report(path, doc, stages):
+    """Write the JSON document (with the machine record) and print each stage's medians."""
+    doc = dict(doc, machine=_machine(), stages=stages)
+    with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, st in stages.items():
         b, a = st["before"]["median_s"], st["after"]["median_s"]
         print(f"{name:48s} {b:8.4f} -> {a:8.4f} s")
+
+
+def main(argv=None):
+    args = parse_args(argv, __doc__, "BENCH_simulate.json")
+    if args.measure:
+        print(json.dumps(measure()))
+        return 0
+    stages, thread_env = compare(__file__, args.before, args.repeats)
+    doc = {
+        "what": "wall time of each simulate stage, before and after, each run in a fresh interpreter",
+        "inputs": "eq15 three-group graph (20/40/20 scaled by 1 and 4), graph seed 0, "
+        "swing nodes, f = 1/s, k = 3, dt = 1e-3, unit step at node 1",
+        "repeats": args.repeats,
+        "thread_env": thread_env,
+    }
+    write_report(args.out, doc, stages)
     return 0
 
 
