@@ -81,13 +81,6 @@ class RationalTF:
     def __call__(self, s):
         return tf_eval(self, s)
 
-    def inverse_at(self, s):
-        """Evaluate 1/g at ``s`` = den(s)/num(s); raises PoleAtS at zeros of g."""
-        nv = _polyval(self.num, s)
-        if abs(nv) <= 1e-14 * max(abs(c) for c in self.num):
-            raise PoleAtS(f"inverse dynamics has a pole at s={s}")
-        return _polyval(self.den, s) / nv
-
     def to_dict(self):
         return {"num": list(self.num), "den": list(self.den)}
 
@@ -138,8 +131,9 @@ def node_values(tfs, s):
     Returns (num, den, pole): num and den are (F, n) arrays of num_i(s_f) and
     den_i(s_f), evaluated by Horner's rule over zero-padded coefficients
     (bit-equal to the scalar rule); pole is the (F,) mask of points where
-    some inverse 1/g_i has a pole, |num_i(s)| <= 1e-14 max|num_i coeffs|,
-    the rule of :meth:`RationalTF.inverse_at`.
+    some inverse 1/g_i has a pole, |num_i(s)| <= 1e-14 max|num_i coeffs|
+    (the pole rule of :func:`tf_eval`, applied to the inverse's
+    denominator).
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
     num_c = _padded([g.num for g in tfs])

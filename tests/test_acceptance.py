@@ -37,7 +37,7 @@ from netreduce import (
     theorem1_bound,
 )
 from netreduce.cli import main
-from netreduce.transfer import sample_swing_nodes
+from netreduce.transfer import node_values, sample_swing_nodes
 
 from conftest import COUPLING_INTEGRATOR, EQ15_Q, EQ15_SIZES, EQ15_W, make_swing_model, random_wsbm
 
@@ -70,12 +70,13 @@ class TestCriterion1:
             model, _ = _swing_model_from_params(params, trial)
             data = bottom_k_eig(model.laplacian, params.k)
             lam_next = data.lambda_next
-            for w in grid:
+            num, den, _ = node_values(model.nodes, 1j * grid)
+            for f, w in enumerate(grid):
                 s = 1j * w
                 t_yu = eval_t_yu(model, s)
                 t_k = eval_t_k(model, data, s)
                 m1 = spectral_norm(t_k)
-                m2 = max(abs(g.inverse_at(s)) for g in model.nodes)
+                m2 = max(abs(d / v) for d, v in zip(den[f].tolist(), num[f].tolist()))
                 bound = theorem1_bound(m1, m2, 1.0 / w, lam_next)
                 if bound is None:
                     continue

@@ -392,7 +392,7 @@ codes = [
 ]
 loaded = [
     m for m in sys.modules
-    if m.startswith("scipy") or m in ("concurrent.futures.process", "numpy.ma")
+    if m.startswith("scipy") or m in ("concurrent.futures.process", "numpy.ma", "fractions", "decimal")
 ]
 print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
 """

@@ -29,13 +29,11 @@ from __future__ import annotations
 import json
 import os
 import statistics
-import subprocess
 import sys
 import time
 
 from bench_simulate import THREAD_VARS, compare, parse_args, write_report
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Q = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
 W = [[20.0, 0.4, 0.8], [0.4, 20.0, 0.7], [0.8, 0.7, 20.0]]
 CLUSTER_N = (80, 320, 1280)
@@ -109,28 +107,8 @@ def measure():
     return {"times": times, "thread_env": {v: os.environ.get(v) for v in THREAD_VARS}}
 
 
-def _tier1(src):
-    """Wall time and summary line of the tier-1 suite of the tree that holds ``src``."""
-    tree = os.path.dirname(os.path.abspath(src))
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["PYTHONPATH"] = os.path.abspath(src)
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
-        env=env, cwd=tree, capture_output=True, text=True,
-    )
-    wall = time.perf_counter() - t0
-    lines = proc.stdout.strip().splitlines()
-    return {"wall_s": wall, "summary": lines[-1] if lines else "", "returncode": proc.returncode}
-
-
 def main(argv=None):
-    args = parse_args(
-        argv,
-        __doc__,
-        "BENCH_cells.json",
-        lambda ap: ap.add_argument("--tier1", action="store_true", help="also time each tree's tier-1 suite"),
-    )
+    args = parse_args(argv, __doc__, "BENCH_cells.json")
     if args.measure:
         print(json.dumps(measure()))
         return 0
@@ -145,14 +123,7 @@ def main(argv=None):
         "repeats": args.repeats,
         "thread_env": thread_env,
     }
-    if args.tier1:
-        doc["tier1"] = {
-            "before": _tier1(args.before),
-            "after": _tier1(os.path.join(ROOT, "src")),
-        }
-    write_report(args.out, doc, stages)
-    for side, res in doc.get("tier1", {}).items():
-        print(f"tier-1 {side}: {res['wall_s']:.1f} s, {res['summary']}")
+    write_report(args.out, doc, stages, args)
     return 0
 
 

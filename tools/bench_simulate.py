@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python tools/bench_simulate.py --before OTHER/src [--repeats 3] [--out BENCH_simulate.json]
+    python tools/bench_simulate.py --before OTHER/src [--repeats 3] [--tier1] [--out BENCH_simulate.json]
 
 Times, at n = 80 and 320 (the eq15 three-group graph, graph seed 0, scaled
 by 1 and 4) and for 4001 and 30001 samples at dt = 1e-3:
@@ -10,8 +10,8 @@ by 1 and 4) and for 4001 and 30001 samples at dt = 1e-3:
 - ``step_response`` of the full closed loop (2n states) and of the reduced
   loop (2k states);
 - ``write_matrix_csv`` of the full outputs (plain) and of the reduced
-  outputs with one column per node (repeated columns), as ``simulate``
-  writes them.
+  outputs with one column per node (repeated columns), each with the time
+  column as ``lead``, as ``simulate`` writes them.
 
 Each measurement runs in a fresh interpreter that imports ``netreduce``
 from either ``--before`` (a source tree of another commit) or this
@@ -19,6 +19,9 @@ repository's ``src``; the two sides alternate ``--repeats`` times, and the
 file records each stage's median, min and max wall time per side, with the
 machine, the numpy version and its BLAS, and the thread variables the
 children saw. The output files go to a temporary directory that is deleted.
+With ``--tier1`` the tier-1 suite (``python -m pytest -q``) of each tree
+also runs once, the tree's ``tests`` next to its ``src``, and its wall time
+is recorded.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ def _loops(scale):
 def measure():
     """Time every stage once in this interpreter; returns {stage: seconds} and the thread settings."""
     import netreduce  # noqa: F401  (sets the one-thread BLAS default first)
-    import numpy as np
 
     from netreduce.io import write_matrix_csv
     from netreduce.simulate import step_response
@@ -90,11 +92,11 @@ def measure():
                 times[f"step_response/reduced/n={n}/samples={samples}"] = time.perf_counter() - t0
 
                 t0 = time.perf_counter()
-                write_matrix_csv(path, np.column_stack([y.times, y.outputs]))
+                write_matrix_csv(path, y.outputs, lead=y.times)
                 times[f"write_matrix_csv/plain/n={n}/samples={samples}"] = time.perf_counter() - t0
                 columns = [0, *(part.assignment + 1).tolist()]
                 t0 = time.perf_counter()
-                write_matrix_csv(path, np.column_stack([y_red.times, y_red.outputs]), columns=columns)
+                write_matrix_csv(path, y_red.outputs, columns=columns, lead=y_red.times)
                 times[f"write_matrix_csv/repeated/n={n}/samples={samples}"] = time.perf_counter() - t0
                 del y, y_red
     return {"times": times, "thread_env": {v: os.environ.get(v) for v in THREAD_VARS}}
@@ -129,15 +131,14 @@ def _machine():
     }
 
 
-def parse_args(argv, doc, default_out, extra=None):
-    """The harness's command line: --before, --repeats, --out and the hidden --measure."""
+def parse_args(argv, doc, default_out):
+    """The harness's command line: --before, --repeats, --tier1, --out and the hidden --measure."""
     ap = argparse.ArgumentParser(description=doc.split("\n")[0])
     ap.add_argument("--before", help="src directory of the commit to compare against")
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--tier1", action="store_true", help="also time each tree's tier-1 suite")
     ap.add_argument("--out", default=os.path.join(ROOT, default_out))
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
-    if extra:
-        extra(ap)
     args = ap.parse_args(argv)
     if not args.measure and not args.before:
         ap.error("--before is required")
@@ -169,15 +170,35 @@ def compare(script, before, repeats):
     return stages, {side: res[0]["thread_env"] for side, res in runs.items()}
 
 
-def write_report(path, doc, stages):
-    """Write the JSON document (with the machine record) and print each stage's medians."""
+def _tier1(src):
+    """Wall time and summary line of the tier-1 suite of the tree that holds ``src``."""
+    tree = os.path.dirname(os.path.abspath(src))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+        env=env, cwd=tree, capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "summary": lines[-1] if lines else "", "returncode": proc.returncode}
+
+
+def write_report(path, doc, stages, args):
+    """Write the JSON document (with the machine record, and the tier-1 times
+    if ``args.tier1``) and print each stage's medians."""
     doc = dict(doc, machine=_machine(), stages=stages)
+    if args.tier1:
+        doc["tier1"] = {"before": _tier1(args.before), "after": _tier1(os.path.join(ROOT, "src"))}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, st in stages.items():
         b, a = st["before"]["median_s"], st["after"]["median_s"]
         print(f"{name:48s} {b:8.4f} -> {a:8.4f} s")
+    for side, res in doc.get("tier1", {}).items():
+        print(f"tier-1 {side}: {res['wall_s']:.1f} s, {res['summary']}")
 
 
 def main(argv=None):
@@ -193,7 +214,7 @@ def main(argv=None):
         "repeats": args.repeats,
         "thread_env": thread_env,
     }
-    write_report(args.out, doc, stages)
+    write_report(args.out, doc, stages, args)
     return 0
 
 
