@@ -34,6 +34,7 @@ from .errors import (
     ModelMismatch,
     NearSingular,
     NetreduceError,
+    NoFrequencyEvaluated,
     NonFinite,
     NotOrthonormal,
     NotPassiveOnGrid,
@@ -43,16 +44,19 @@ from .errors import (
     ReductionFailed,
     SingularS,
     TiedSpectrumWarning,
-    ZeroNumerator,
 )
 from .evaluation import (
     ErrorReport,
     FreqGrid,
+    PassivityReport,
+    Sweep,
     band_error,
     eval_t_hat_k,
     eval_t_k,
     eval_t_yu,
+    passivity_check,
     spectral_norm,
+    sweep,
     theorem1_bound,
 )
 from .graphs import (
@@ -94,13 +98,10 @@ from .spectral import (
     wcss_of,
 )
 from .transfer import (
-    AggregateEvaluator,
     NetworkModel,
-    PassivityReport,
     RationalTF,
     first_order_swing,
     log_grid,
-    passivity_check,
     sample_swing_nodes,
     tf_eval,
 )

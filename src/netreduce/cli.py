@@ -18,12 +18,11 @@ import numpy as np
 from . import __version__
 from .config import build_model, load_config
 from .errors import ConfigError, NetreduceError
-from .evaluation import FreqGrid, band_error
+from .evaluation import FreqGrid, band_error, passivity_check, sweep
 from .graphs import expected_laplacian, laplacian, sample_adjacency
 from .io import config_hash, dump_json, write_matrix_csv, write_table_csv
 from .reduction import run_algorithm_1
 from .simulate import close_loop, compare_responses, realize_reduced, step_response
-from .transfer import passivity_check
 
 BAND_NOTE = "band quantities computed on omega in [omega_min, eta]; omega=0 excluded (coupling pole)"
 
@@ -91,7 +90,8 @@ def cmd_evaluate(config, out_dir):
     files = []
     for seed in config.seeds:
         model, reduced, doc = _reduce_one(config, seed)
-        report = band_error(model, reduced, reduced.spectral, grid, hinf=True)
+        sw = sweep(model, grid)
+        report = band_error(model, reduced, reduced.spectral, sw, hinf=True)
         path = os.path.join(out_dir, f"band_seed{seed}.csv")
         write_table_csv(
             path,
@@ -99,7 +99,7 @@ def cmd_evaluate(config, out_dir):
             report.rows(),
         )
         files.append(os.path.basename(path))
-        passivity = passivity_check(model, grid)
+        passivity = passivity_check(sw)
         summary["per_seed"][str(seed)] = {
             "sup_err": report.sup_err,
             "sup_err_structure": report.sup_struct,
@@ -177,7 +177,7 @@ def _experiment_cell(args):
         model, params, gamma = build_model(config, seed, scale=scale)
         l_blk, _ = expected_laplacian(params)
         reduced = run_algorithm_1(model, config.k, seed=seed, restarts=config.restarts)
-        report = band_error(model, reduced, reduced.spectral, _grid(config))
+        report = band_error(model, reduced, reduced.spectral, sweep(model, _grid(config)))
         conc = float(np.abs(np.linalg.eigvalsh(model.laplacian - l_blk)).max())
         return {
             "scale": scale,

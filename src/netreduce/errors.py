@@ -9,10 +9,6 @@ class PoleAtS(NetreduceError):
     """Transfer function evaluated at or numerically near a pole."""
 
 
-class ZeroNumerator(NetreduceError):
-    """A member transfer function has an identically zero numerator."""
-
-
 class NotPassiveOnGrid(NetreduceError):
     """Re(g(jw)) <= 0 at some tested frequency."""
 
@@ -71,6 +67,10 @@ class Diverged(NetreduceError):
 
 class GridMismatch(NetreduceError):
     """Two simulation results do not share the same time grid."""
+
+
+class NoFrequencyEvaluated(NetreduceError):
+    """Every frequency of a band evaluation failed; there is nothing to report."""
 
 
 class ModelMismatch(NetreduceError):

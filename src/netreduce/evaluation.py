@@ -1,15 +1,17 @@
 """Frequency-domain evaluation of the full, low-rank, and reduced networks.
 
-Evaluates the closed-loop transfer matrix, its rank-k spectral truncation,
-and the structure-preserving reduced form; computes the per-frequency
-truncation-error bound and band-wise error reports. Spectral norms are
-largest singular values from SVDs: dense n x n ones for the differences
-against T_yu and for ||T_yu|| itself, and small ones (k x k or at most
-2k x 2k) for every quantity whose rows and columns lie in a known
-low-dimensional subspace. ``band_error`` forms the k x k cores and the
-small SVDs once per grid, stacked over the frequencies; the one-point
-functions ``eval_t_k`` and ``eval_t_hat_k`` call the same helpers with a
-stack of one.
+Everything here reads a :class:`Sweep`, the node and coupling dynamics of a
+model evaluated once by one stacked Horner pass: ``sweep`` builds it once
+per (model, grid) for ``band_error`` and ``passivity_check``, and the
+one-point functions build one at their point. The aggregate of a node
+group, (sum_{i in I_j} 1/g_i)^-1, is summed from the sweep's G^-1 columns.
+
+Spectral norms are largest singular values from SVDs: dense n x n ones for
+the differences against T_yu and for ||T_yu|| itself, and small ones (k x k
+or at most 2k x 2k) for every quantity whose rows and columns lie in a
+known low-dimensional subspace. ``band_error`` forms the k x k cores and
+the small SVDs once per grid, stacked over the frequencies; the one-point
+functions call the same helpers with a stack of one.
 """
 
 from __future__ import annotations
@@ -18,8 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelMismatch, NearSingular, NetreduceError, PoleAtS
-from .transfer import log_grid, node_values, tf_eval
+from .errors import (
+    CouplingVanishes,
+    ModelMismatch,
+    NearSingular,
+    NetreduceError,
+    NoFrequencyEvaluated,
+    NotPassiveOnGrid,
+    PoleAtS,
+)
+from .transfer import log_grid, node_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,33 +52,75 @@ class FreqGrid:
         return cls(eta=eta, omega_min=omega_min, points=log_grid(omega_min, eta, n_points))
 
 
-def _g_inverse(nodes, s):
-    """G^-1 at the points ``s`` as an (F, n) array, and the (F,) pole mask."""
-    num, den, pole = node_values(nodes, s)
+class Sweep:
+    """Node and coupling dynamics of one model, evaluated once at the points ``s``.
+
+    ``num`` and ``den`` are the (F, n) node numerators and denominators,
+    ``ginv`` = den / num the diagonals of G^-1 and ``f`` the (F,) coupling
+    values, all from one :func:`transfer.node_values` call. By the pole rule
+    of ``tf_eval``, ``node_pole`` (F, n) marks where g_i has a pole,
+    ``inverse_pole`` (F,) where some 1/g_i has one and ``coupling_pole``
+    (F,) where f has one. ``gaps`` maps the index of each point where G^-1
+    or f has a pole to its PoleAtS message, a node-inverse pole first.
+    ``grid`` is the FreqGrid of the points s = j omega, if any.
+    """
+
+    def __init__(self, model, s, grid=None):
+        self.s = s = np.asarray(s, dtype=complex).reshape(-1)
+        self.grid = grid
+        n = model.n
+        num, den, num_small, den_small = node_values(model.nodes + (model.coupling,), s)
+        self.num, self.den, self.node_pole = num[:, :n], den[:, :n], den_small[:, :n]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.ginv = self.den / self.num
+            self.f = num[:, n] / den[:, n]
+        self.inverse_pole = num_small[:, :n].any(axis=1)
+        self.coupling_pole = den_small[:, n]
+        self.gaps = {}
+        for i in np.flatnonzero(self.inverse_pole | self.coupling_pole).tolist():
+            if self.inverse_pole[i]:
+                self.gaps[i] = f"inverse dynamics has a pole at s={s[i]}"
+            else:
+                self.gaps[i] = f"evaluation at or near a pole: s={s[i]}"
+
+
+def sweep(model, grid):
+    """The :class:`Sweep` of ``model`` over the points j omega of ``grid``."""
+    return Sweep(model, 1j * np.asarray(grid.points, dtype=float), grid)
+
+
+def _sweep_at(model, s):
+    # the one-point sweep; a pole of G^-1 or f at s is an error here
+    sw = Sweep(model, [s])
+    if sw.gaps:
+        raise PoleAtS(sw.gaps[0])
+    return sw
+
+
+def _aggregates(sw, partition):
+    """(F, k) aggregates (sum_{i in I_j} 1/g_i)^-1 of the blocks of ``partition``.
+
+    Also returns the (F,) mask of points where one has a pole: some member
+    inverse has one, or a sum of inverses vanishes. Each block's columns are
+    gathered with ``take``, a C-ordered copy, so that every row sum adds
+    its members in the same order as a sum over the members alone.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return den / num, pole
+        total = np.stack([sw.ginv.take(idx, axis=1).sum(axis=1) for idx in partition.blocks()], 1)
+        return 1.0 / total, sw.inverse_pole | (total == 0).any(axis=1)
 
 
-def _g_inverse_at(model, s):
-    ginv, pole = _g_inverse(model.nodes, [s])
-    if pole[0]:
-        raise PoleAtS(f"inverse dynamics has a pole at s={s}")
-    return ginv[0]
-
-
-def eval_t_yu(model, s, ginv=None):
+def eval_t_yu(model, s):
     """Closed-loop transfer matrix at ``s`` via (G^-1(s) + f(s) L)^-1.
 
     Inverts the loop matrix h with ``np.linalg.inv`` (LU with partial
     pivoting) and raises NearSingular unless its exact 1-norm reciprocal
     condition number 1 / (||h||_1 ||h^-1||_1), read from that inverse, is
     at least 1e-12; an exactly zero pivot reports rcond=0.00e+00, and a
-    non-finite h fails the check too. ``ginv`` is the diagonal of G^-1(s)
-    when the caller has it already.
+    non-finite h fails the check too.
     """
-    if ginv is None:
-        ginv = _g_inverse_at(model, s)
-    return _loop_inverse(model, s, ginv, tf_eval(model.coupling, s))
+    sw = _sweep_at(model, s)
+    return _loop_inverse(model, s, sw.ginv[0], sw.f[0])
 
 
 def _loop_inverse(model, s, ginv, f):
@@ -132,38 +184,31 @@ def _reduced_cores(reduced, ghat, f):
     return _solve_each(loop, rhs)
 
 
-def eval_t_k(model, data, s, ginv=None):
-    """Rank-k truncation V_k (V_k^T G^-1(s) V_k + f(s) Lambda_k)^-1 V_k^T.
-
-    ``ginv`` is the diagonal of G^-1(s) when the caller has it already.
-    """
-    if ginv is None:
-        ginv = _g_inverse_at(model, s)
-    x, singular = _rank_k_cores(data, np.asarray(ginv)[None], np.array([tf_eval(model.coupling, s)]))
+def eval_t_k(model, data, s):
+    """Rank-k truncation V_k (V_k^T G^-1(s) V_k + f(s) Lambda_k)^-1 V_k^T."""
+    sw = _sweep_at(model, s)
+    x, singular = _rank_k_cores(data, sw.ginv, sw.f)
     if singular[0]:
         raise NearSingular(f"rank-k core singular at s={s}")
     return data.v_k @ x[0]
 
 
-def eval_t_hat_k(model, reduced, s, ghat=None):
+def eval_t_hat_k(model, reduced, s):
     """Reduced-network transfer matrix P (I + G_hat L_k f)^-1 G_hat P^T.
 
-    Aggregate dynamics are evaluated pointwise unless ``ghat``, their values
-    at ``s``, is given; the k x k loop is solved and the result broadcast
-    back to node level through the partition.
+    The aggregates G_hat are summed from the model's G^-1 at ``s``; the
+    k x k loop is solved and the result broadcast back to node level
+    through the partition.
     """
-    f = tf_eval(model.coupling if model is not None else reduced.coupling, s)
-    assign = reduced.partition.assignment
-    return _t_hat_core(reduced, f, s, ghat)[assign][:, assign]
-
-
-def _t_hat_core(reduced, f, s, ghat=None):
-    if ghat is None:
-        ghat = np.array([agg(s) for agg in reduced.aggregates])
-    c, singular = _reduced_cores(reduced, np.asarray(ghat)[None], np.array([f]))
+    sw = _sweep_at(model, s)
+    ghat, pole = _aggregates(sw, reduced.partition)
+    if pole[0]:
+        raise PoleAtS(f"aggregate has a pole at s={s}")
+    c, singular = _reduced_cores(reduced, ghat, sw.f)
     if singular[0]:
         raise NearSingular(f"reduced loop singular at s={s}")
-    return c[0]
+    assign = reduced.partition.assignment
+    return c[0][assign][:, assign]
 
 
 def theorem1_bound(m1, m2, f_abs, lambda_k1):
@@ -231,29 +276,32 @@ class ErrorReport:
         return out
 
 
-def _check_shapes(model, reduced, data):
+def _check_shapes(model, reduced, data, sw):
     sizes = {"model": model.n, "reduced": reduced.n, "eigendata": data.v_k.shape[0]}
+    sizes["sweep"] = sw.ginv.shape[1]
     if len(set(sizes.values())) > 1:
         raise ModelMismatch(f"node counts differ: {sizes}")
     if reduced.k != data.k:
         raise ModelMismatch(f"reduced model has k={reduced.k}, eigendata k={data.k}")
 
 
-def band_error(model, reduced, data, grid, hinf=False):
+def band_error(model, reduced, data, sw, hinf=False):
     """Frequency-band error report between the full and reduced networks.
 
-    At each grid frequency computes ||T_yu - T_hat_k|| and ||T_yu - T_k||
-    (largest singular values), and the truncation bound evaluated with the
-    per-frequency constants M1 = ||T_k(jw)||, M2 = max_i |1/g_i(jw)| and
+    Reads the model's dynamics from ``sw``, its :func:`sweep` over the
+    grid. At each grid frequency computes ||T_yu - T_hat_k|| and
+    ||T_yu - T_k|| (largest singular values), and the truncation bound
+    evaluated with the per-frequency constants M1 = ||T_k(jw)||, M2 = max_i |1/g_i(jw)| and
     the (k+1)-th Laplacian eigenvalue. ``bound_satisfied`` is the
     conjunction of ||T_yu - T_k|| <= bound + 1e-7 (1 + bound) over feasible
     frequencies. Frequencies where the loop is near singular or some node
-    or aggregate has a pole are recorded as failures, not fatal; inputs of
-    different networks raise ModelMismatch.
+    inverse, aggregate or the coupling has a pole are recorded as failures,
+    not fatal; NoFrequencyEvaluated is raised when every frequency fails,
+    and inputs of different networks raise ModelMismatch.
 
-    The coupling f(jw) is evaluated once per frequency, and the k x k
-    algebra once per grid, stacked over the frequencies without a pole: the
-    rank-k cores X = (V_k^T G^-1 V_k + f Lambda_k)^-1 V_k^T and the reduced
+    The aggregates are summed from the sweep's G^-1 columns, and the k x k
+    algebra runs once per grid, stacked over the frequencies without a pole:
+    the rank-k cores X = (V_k^T G^-1 V_k + f Lambda_k)^-1 V_k^T and the reduced
     cores C take one stacked solve each, and a frequency where one of them
     is singular becomes a gap. Only the n x n work runs per frequency: the
     loop inverse T_yu, T_k = V_k X, T_hat_k = C[assignment][:, assignment]
@@ -267,7 +315,7 @@ def band_error(model, reduced, data, grid, hinf=False):
     filled only when ``hinf`` is true: ||T_yu|| is a third dense SVD per
     frequency.
     """
-    _check_shapes(model, reduced, data)
+    _check_shapes(model, reduced, data, sw)
     lam_next = data.lambda_next
     v = data.v_k
     assign = reduced.partition.assignment
@@ -275,29 +323,15 @@ def band_error(model, reduced, data, grid, hinf=False):
     p = np.eye(reduced.k)[assign]
     q = np.linalg.qr(np.hstack([v, p]))[0]
     q_v, q_p = q.T @ v, q.T @ p
-    points = np.asarray(grid.points, dtype=float)
-    ginv, node_pole = _g_inverse(model.nodes, 1j * points)
+    points = np.asarray(sw.grid.points, dtype=float)
+    ginv, f = sw.ginv, sw.f
     m2 = np.abs(ginv).max(axis=1)
-    ghat = np.empty((points.size, reduced.k), dtype=complex)
-    agg_pole = np.zeros(points.size, dtype=bool)
-    for j, agg in enumerate(reduced.aggregates):
-        ghat[:, j], pole = agg.over(1j * points)
-        agg_pole |= pole
+    ghat, agg_pole = _aggregates(sw, reduced.partition)
 
-    failures = {}  # grid index -> message
-    f = np.zeros(points.size, dtype=complex)
-    valid = np.ones(points.size, dtype=bool)
-    for i, w in enumerate(points):
-        s = 1j * w
-        try:
-            if node_pole[i]:
-                raise PoleAtS(f"inverse dynamics has a pole at s={s}")
-            if agg_pole[i]:
-                raise PoleAtS(f"aggregate has a pole at s={s}")
-            f[i] = tf_eval(model.coupling, s)
-        except PoleAtS as exc:  # recorded as a gap
-            failures[i] = str(exc)
-            valid[i] = False
+    failures = dict(sw.gaps)  # grid index -> message
+    for i in np.flatnonzero(agg_pole & ~sw.inverse_pole).tolist():
+        failures[i] = f"aggregate has a pole at s={sw.s[i]}"
+    valid = ~(agg_pole | sw.coupling_pole)
     x, k_singular = _rank_k_cores(data, ginv[valid], f[valid])
     c, hat_singular = _reduced_cores(reduced, ghat[valid], f[valid])
 
@@ -306,8 +340,7 @@ def band_error(model, reduced, data, grid, hinf=False):
     err_tk = []
     hinf_yu = 0.0 if hinf else None
     for j, i in enumerate(np.flatnonzero(valid)):
-        w = points[i]
-        s = 1j * w
+        w, s = points[i], sw.s[i]
         try:
             t_yu = _loop_inverse(model, s, ginv[i], f[i])
             if k_singular[j]:
@@ -322,6 +355,12 @@ def band_error(model, reduced, data, grid, hinf=False):
         err_tk.append(spectral_norm(t_yu - v @ x[j]))
         if hinf:
             hinf_yu = max(hinf_yu, spectral_norm(t_yu))
+    if not per_freq:
+        first = min(failures)
+        raise NoFrequencyEvaluated(
+            f"all {len(failures)} grid frequencies failed; first at omega={points[first]:g}: "
+            f"{failures[first]}"
+        )
 
     x, c = x[done], c[done]
     xv = x @ v
@@ -338,7 +377,7 @@ def band_error(model, reduced, data, grid, hinf=False):
     hinf_hat = None
     if hinf:
         hinf_hat = float(_top_singular(root_sizes[:, None] * c * root_sizes).max(initial=0.0))
-    sup_err = max((e for _, e in per_freq), default=0.0)
+    sup_err = max(e for _, e in per_freq)
     return ErrorReport(
         per_freq=tuple(per_freq),
         err_tk=tuple(err_tk),
@@ -350,4 +389,74 @@ def band_error(model, reduced, data, grid, hinf=False):
         sup_struct=max(err_struct, default=0.0),
         hinf_t_yu=hinf_yu,
         hinf_t_hat_k=hinf_hat,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class PassivityReport:
+    """Grid certificate for passivity/boundedness quantities.
+
+    gamma bounds |g_i(jw)|^2 / Re(g_i(jw)) over nodes and grid, m_eta bounds
+    |1/g_i(jw)|, f_lower is the minimum coupling magnitude. This is a grid
+    certificate, not a proof: quantities are tested on finitely many
+    frequencies only.
+    """
+
+    gamma: float
+    m_eta: float
+    f_lower: float
+    eta: float
+    grid: np.ndarray = field(repr=False)
+    coupling_real_on_axis: bool = True
+    coupling_max_imag: float = 0.0
+
+    def __post_init__(self):
+        if not (self.gamma > 0 and self.m_eta > 0 and self.f_lower > 0):
+            raise ValueError("gamma, m_eta and f_lower must be positive")
+        g = np.asarray(self.grid, dtype=float)
+        if g.size == 0 or np.any(np.diff(g) <= 0):
+            raise ValueError("grid must be nonempty and strictly increasing")
+
+
+def passivity_check(sw):
+    """Numeric passivity/boundedness certificate from a model's :func:`sweep`.
+
+    The sweep's grid is on [omega_min, eta]; omega_min excludes a coupling
+    pole at the origin, e.g. f = 1/s. Raises PoleAtS when a node or the
+    coupling has a pole on the grid, NotPassiveOnGrid when some node has
+    Re(g(jw)) <= 0 there and CouplingVanishes when the coupling magnitude
+    estimate drops below 1e-12.
+    """
+    points = np.asarray(sw.grid.points, dtype=float)
+    if sw.node_pole.any():
+        i = int(np.argmax(sw.node_pole.any(axis=0)))
+        w_bad = points[np.argmax(sw.node_pole[:, i])]
+        raise PoleAtS(f"node {i}: evaluation at or near a pole: s={1j * w_bad}")
+    vals = sw.num / sw.den
+    re = vals.real
+    if np.any(re <= 0):
+        i = int(np.argmax((re <= 0).any(axis=0)))
+        w_bad = points[np.argmax(re[:, i] <= 0)]
+        raise NotPassiveOnGrid(f"node {i}: Re(g(jw)) <= 0 at omega={w_bad:g}")
+    gamma = float(np.max(np.abs(vals) ** 2 / re))
+    m_eta = float(np.max(1.0 / np.abs(vals)))
+
+    if sw.coupling_pole.any():
+        w_bad = points[np.argmax(sw.coupling_pole)]
+        raise PoleAtS(f"evaluation at or near a pole: s={1j * w_bad}")
+    f_vals = sw.f
+    f_lower = float(np.min(np.abs(f_vals)))
+    if f_lower < 1e-12:
+        raise CouplingVanishes(f"coupling magnitude {f_lower:g} below 1e-12 on grid")
+    max_imag = float(np.max(np.abs(f_vals.imag)))
+    real_on_axis = max_imag <= 1e-12 * max(1.0, float(np.max(np.abs(f_vals))))
+
+    return PassivityReport(
+        gamma=gamma,
+        m_eta=m_eta,
+        f_lower=f_lower,
+        eta=float(sw.grid.eta),
+        grid=points,
+        coupling_real_on_axis=real_on_axis,
+        coupling_max_imag=max_imag,
     )

@@ -263,11 +263,6 @@ def dump_json(path, obj):
         fh.write("\n")
 
 
-def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def config_hash(config_dict):
     """Stable hash of a canonicalized config document."""
     blob = json.dumps(config_dict, sort_keys=True, separators=(",", ":")).encode()

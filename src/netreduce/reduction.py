@@ -35,7 +35,7 @@ from .spectral import SpectralData, cluster_embedding, wcss_of
 # bottom_k_eig checks, so the reduction calls the eigensolver without those
 # checks; it keeps the public name, under which perfbench times the stage
 from .spectral import _bottom_k_eig as bottom_k_eig
-from .transfer import AggregateEvaluator, RationalTF
+from .transfer import RationalTF
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +153,8 @@ class ReducedModel:
     """Structure-preserving reduced network produced by the pipeline.
 
     Carries the partition, the retained eigenvalues, the reduced Laplacian,
-    the aggregate node dynamics, the refinement matrix, the (unchanged)
+    the full model's node tuple ``nodes`` (aggregate j is the harmonic sum
+    over ``partition.blocks()[j]``), the refinement matrix, the (unchanged)
     coupling dynamics, and pipeline diagnostics. ``spectral`` is the
     bottom-k eigendata the reduction was built from (kernel eigenvalue set
     to zero); it is not serialized, so ``from_dict`` leaves it None.
@@ -162,7 +163,7 @@ class ReducedModel:
     partition: Partition
     lambda_k: np.ndarray
     l_k: np.ndarray = field(repr=False)
-    aggregates: tuple = field(repr=False)
+    nodes: tuple = field(repr=False)
     s_matrix: np.ndarray = field(repr=False)
     coupling: RationalTF = None
     lambda_next: float | None = None
@@ -202,9 +203,9 @@ class ReducedModel:
             "aggregates": [
                 {
                     "members": idx.tolist(),
-                    "member_tfs": [g.to_dict() for g in agg.members],
+                    "member_tfs": [self.nodes[i].to_dict() for i in idx],
                 }
-                for idx, agg in zip(self.partition.blocks(), self.aggregates)
+                for idx in self.partition.blocks()
             ],
             "refine_objective": self.refine_objective,
             "clustering_wcss": self.clustering_wcss,
@@ -213,15 +214,17 @@ class ReducedModel:
 
     @classmethod
     def from_dict(cls, doc):
-        aggs = tuple(
-            AggregateEvaluator([RationalTF(d["num"], d["den"]) for d in a["member_tfs"]])
-            for a in doc["aggregates"]
-        )
+        nodes = [None] * len(doc["assignment"])
+        for agg in doc["aggregates"]:
+            for i, d in zip(agg["members"], agg["member_tfs"]):
+                nodes[i] = RationalTF(d["num"], d["den"])
+        if None in nodes:
+            raise ValueError(f"aggregates list no dynamics for node {nodes.index(None)}")
         return cls(
             partition=Partition(doc["assignment"], doc["k"]),
             lambda_k=np.asarray(doc["lambda_k"], dtype=float),
             l_k=np.asarray(doc["l_k"], dtype=float),
-            aggregates=aggs,
+            nodes=tuple(nodes),
             s_matrix=np.asarray(doc["s_matrix"], dtype=float),
             coupling=RationalTF(**doc["coupling"]) if doc["coupling"] else None,
             lambda_next=doc["lambda_next"],
@@ -235,10 +238,11 @@ def run_algorithm_1(model, k, seed=0, restarts=50):
     """Full reduction pipeline on a network model.
 
     Composes the bottom-k eigendecomposition, spectral clustering of the
-    embedding rows, per-block aggregation of node dynamics, embedding
-    refinement, and the reduced Laplacian construction. Any stage error is
-    wrapped in ReductionFailed with the stage name. The returned model keeps
-    the eigendata on ``spectral`` so callers need not recompute it.
+    embedding rows, a check that every node has an inverse to aggregate,
+    embedding refinement, and the reduced Laplacian construction. Any stage
+    error is wrapped in ReductionFailed with the stage name. The returned
+    model keeps the eigendata on ``spectral`` so callers need not recompute
+    it.
     """
     n = model.n
     if not 1 <= k < n:
@@ -267,12 +271,12 @@ def run_algorithm_1(model, k, seed=0, restarts=50):
     except Exception as exc:
         raise ReductionFailed("clustering", str(exc)) from exc
 
-    try:
-        aggregates = tuple(
-            AggregateEvaluator([model.nodes[j] for j in idx]) for idx in partition.blocks()
-        )
-    except Exception as exc:
-        raise ReductionFailed("aggregation", str(exc)) from exc
+    # each aggregate sums its members' inverses, so none may be zero
+    for idx in partition.blocks():
+        for i, j in enumerate(idx):
+            if all(c == 0.0 for c in model.nodes[j].num):
+                msg = f"member {i} has zero numerator; inverse undefined"
+                raise ReductionFailed("aggregation", msg)
 
     try:
         refined = refine_embedding(spec, partition)
@@ -288,7 +292,7 @@ def run_algorithm_1(model, k, seed=0, restarts=50):
         partition=partition,
         lambda_k=spec.lambda_k,
         l_k=l_k,
-        aggregates=aggregates,
+        nodes=model.nodes,
         s_matrix=refined.s_matrix,
         coupling=model.coupling,
         lambda_next=spec.lambda_next,

@@ -444,5 +444,6 @@ def realize_aggregate(members):
 
 def realize_reduced(reduced):
     """Closed-loop state space of a reduced model, each group by ``realize_aggregate``."""
-    aggregates = [realize_aggregate(a.members) for a in reduced.aggregates]
+    nodes = reduced.nodes
+    aggregates = [realize_aggregate([nodes[i] for i in idx]) for idx in reduced.partition.blocks()]
     return close_loop(aggregates, reduced.coupling, reduced.l_k)

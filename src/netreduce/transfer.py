@@ -4,7 +4,9 @@ A :class:`RationalTF` stores numerator and denominator coefficients in
 ascending powers of ``s`` and is kept in canonical form (denominator monic,
 trailing zero coefficients trimmed). :class:`NetworkModel` bundles per-node
 dynamics, the coupling dynamics, and the graph Laplacian that closes the
-feedback loop around them.
+feedback loop around them. Every evaluation of a transfer function goes
+through one stacked Horner kernel, :func:`node_values`; :func:`tf_eval` is
+its one-point call.
 """
 
 from __future__ import annotations
@@ -13,23 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CouplingVanishes,
-    NotPassiveOnGrid,
-    PoleAtS,
-    ZeroNumerator,
-)
+from .errors import PoleAtS
 from .graphs import check_symmetric
 
 _COEF_TOL = 1e-12
-
-
-def _polyval(coeffs, s):
-    """Horner evaluation of a polynomial with ascending coefficients."""
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
 
 
 def _trim(coeffs):
@@ -97,7 +86,7 @@ def _coeffs_close(a, b):
 
 
 def tf_eval(tf, s):
-    """Evaluate ``tf`` at complex ``s`` by Horner's rule on both polynomials.
+    """Evaluate ``tf`` at complex ``s``: the one-point call of :func:`node_values`.
 
     Raises
     ------
@@ -105,10 +94,10 @@ def tf_eval(tf, s):
         If |den(s)| falls below 1e-14 times the largest denominator
         coefficient magnitude, signalling evaluation at or near a pole.
     """
-    dv = _polyval(tf.den, s)
-    if abs(dv) <= 1e-14 * max(abs(c) for c in tf.den):
+    num, den, _, pole = node_values([tf], [s])
+    if pole[0, 0]:
         raise PoleAtS(f"evaluation at or near a pole: s={s}")
-    return _polyval(tf.num, s) / dv
+    return complex((num / den)[0, 0])
 
 
 def _padded(polys):
@@ -118,7 +107,7 @@ def _padded(polys):
 
 
 def _horner(coeffs, s):
-    """(F, n) values at the F points ``s`` of the n ascending rows of ``coeffs``."""
+    """(F, m) values at the F points ``s`` of the m ascending rows of ``coeffs``."""
     acc = np.zeros((s.size, coeffs.shape[0]), dtype=complex)
     for col in coeffs.T[::-1]:
         acc = acc * s[:, None] + col
@@ -126,58 +115,21 @@ def _horner(coeffs, s):
 
 
 def node_values(tfs, s):
-    """Numerators and denominators of ``tfs`` at the points ``s``, all at once.
+    """Numerators and denominators of ``tfs`` at the points ``s``, in one Horner pass.
 
-    Returns (num, den, pole): num and den are (F, n) arrays of num_i(s_f) and
-    den_i(s_f), evaluated by Horner's rule over zero-padded coefficients
-    (bit-equal to the scalar rule); pole is the (F,) mask of points where
-    some inverse 1/g_i has a pole, |num_i(s)| <= 1e-14 max|num_i coeffs|
-    (the pole rule of :func:`tf_eval`, applied to the inverse's
-    denominator).
+    Returns (num, den, inverse_pole, pole). num and den are the (F, m)
+    arrays of num_i(s_f) and den_i(s_f), evaluated as the rows of one
+    zero-padded coefficient stack; leading zeros leave Horner's rule exact,
+    so each value is bit-equal to a call on any subset of ``tfs``. The
+    (F, m) masks apply the pole rule |p(s)| <= 1e-14 max|p coeffs| to the
+    numerators (a pole of 1/g_i) and to the denominators (a pole of g_i).
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
-    num_c = _padded([g.num for g in tfs])
-    num = _horner(num_c, s)
-    pole = (np.abs(num) <= 1e-14 * np.abs(num_c).max(axis=1)).any(axis=1)
-    return num, _horner(_padded([g.den for g in tfs]), s), pole
-
-
-class AggregateEvaluator:
-    """Evaluator of the harmonic aggregate of a node group.
-
-    Evaluates ``(sum_i 1/g_i(s))^-1`` without forming a common denominator;
-    ``simulate.realize_aggregate`` is the state-space form of the same
-    members. Callable and safe to share across threads.
-    """
-
-    def __init__(self, members):
-        members = tuple(members)
-        if not members:
-            raise ValueError("aggregate of an empty group")
-        for i, g in enumerate(members):
-            if all(c == 0.0 for c in g.num):
-                raise ZeroNumerator(f"member {i} has zero numerator; inverse undefined")
-        self.members = members
-
-    def over(self, s):
-        """Aggregate values at the points ``s`` and the mask of its poles there.
-
-        A point is a pole when some member inverse has one or the sum of
-        inverses vanishes; the value returned there is not to be used.
-        """
-        num, den, pole = node_values(self.members, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = (den / num).sum(axis=1)
-            return 1.0 / total, pole | (total == 0)
-
-    def __call__(self, s):
-        val, pole = self.over([s])
-        if pole[0]:
-            raise PoleAtS(f"aggregate has a pole at s={s}")
-        return complex(val[0])
-
-    def __len__(self):
-        return len(self.members)
+    coeffs = _padded([g.num for g in tfs] + [g.den for g in tfs])
+    vals = _horner(coeffs, s)
+    small = np.abs(vals) <= 1e-14 * np.abs(coeffs).max(axis=1)
+    m = len(tfs)
+    return vals[:, :m], vals[:, m:], small[:, :m], small[:, m:]
 
 
 def first_order_swing(m, d):
@@ -242,32 +194,6 @@ class NetworkModel:
         return len(self.nodes)
 
 
-@dataclass(frozen=True, eq=False)
-class PassivityReport:
-    """Grid certificate for passivity/boundedness quantities.
-
-    gamma bounds |g_i(jw)|^2 / Re(g_i(jw)) over nodes and grid, m_eta bounds
-    |1/g_i(jw)|, f_lower is the minimum coupling magnitude. This is a grid
-    certificate, not a proof: quantities are tested on finitely many
-    frequencies only.
-    """
-
-    gamma: float
-    m_eta: float
-    f_lower: float
-    eta: float
-    grid: np.ndarray = field(repr=False)
-    coupling_real_on_axis: bool = True
-    coupling_max_imag: float = 0.0
-
-    def __post_init__(self):
-        if not (self.gamma > 0 and self.m_eta > 0 and self.f_lower > 0):
-            raise ValueError("gamma, m_eta and f_lower must be positive")
-        g = np.asarray(self.grid, dtype=float)
-        if g.size == 0 or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be nonempty and strictly increasing")
-
-
 def log_grid(omega_min, omega_max, n_points):
     """Strictly increasing logarithmic frequency grid."""
     if not (omega_min > 0 and omega_max > omega_min):
@@ -275,46 +201,3 @@ def log_grid(omega_min, omega_max, n_points):
     if n_points < 2:
         raise ValueError("need at least two grid points")
     return np.logspace(np.log10(omega_min), np.log10(omega_max), n_points)
-
-
-def passivity_check(model, grid):
-    """Numeric passivity/boundedness certificate on a frequency grid.
-
-    Sweeps the points of ``grid`` (a FreqGrid on [omega_min, eta]; omega_min
-    excludes a coupling pole at the origin, e.g. f = 1/s). Raises
-    NotPassiveOnGrid when some node has Re(g(jw)) <= 0 on the grid and
-    CouplingVanishes when the coupling magnitude estimate drops below 1e-12.
-    """
-    points = np.asarray(grid.points, dtype=float)
-    num, den, _ = node_values(model.nodes, 1j * points)
-    den_tol = 1e-14 * np.array([max(abs(c) for c in g.den) for g in model.nodes])
-    near_pole = np.abs(den) <= den_tol  # the pole rule of tf_eval
-    if near_pole.any():
-        i = int(np.argmax(near_pole.any(axis=0)))
-        w_bad = points[np.argmax(near_pole[:, i])]
-        raise PoleAtS(f"node {i}: evaluation at or near a pole: s={1j * w_bad}")
-    vals = num / den
-    re = vals.real
-    if np.any(re <= 0):
-        i = int(np.argmax((re <= 0).any(axis=0)))
-        w_bad = points[np.argmax(re[:, i] <= 0)]
-        raise NotPassiveOnGrid(f"node {i}: Re(g(jw)) <= 0 at omega={w_bad:g}")
-    gamma = float(np.max(np.abs(vals) ** 2 / re))
-    m_eta = float(np.max(1.0 / np.abs(vals)))
-
-    f_vals = np.array([tf_eval(model.coupling, 1j * w) for w in points])
-    f_lower = float(np.min(np.abs(f_vals)))
-    if f_lower < 1e-12:
-        raise CouplingVanishes(f"coupling magnitude {f_lower:g} below 1e-12 on grid")
-    max_imag = float(np.max(np.abs(f_vals.imag)))
-    real_on_axis = max_imag <= 1e-12 * max(1.0, float(np.max(np.abs(f_vals))))
-
-    return PassivityReport(
-        gamma=gamma,
-        m_eta=m_eta,
-        f_lower=f_lower,
-        eta=float(grid.eta),
-        grid=points,
-        coupling_real_on_axis=real_on_axis,
-        coupling_max_imag=max_imag,
-    )

@@ -189,6 +189,17 @@ class TestReduce:
         assert tree_bytes(out1) == tree_bytes(out2)
 
 
+def all_gap_config(tmp_path):
+    # a two-point grid {1, 2} and two nodes whose inverses have poles at
+    # s = j and s = 2j: every grid frequency is a gap
+    doc = base_config(omega_min=1.0, eta=2.0, grid_size=2)
+    tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * 80
+    tfs[0] = {"num": [1.0, 0.0, 1.0], "den": [1.0, 2.0, 1.0]}
+    tfs[1] = {"num": [4.0, 0.0, 1.0], "den": [1.0, 2.0, 1.0]}
+    doc["nodes"] = {"preset": "explicit", "tfs": tfs}
+    return write_config(tmp_path, doc)
+
+
 class TestEvaluate:
     def test_eq15_band_report(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -216,6 +227,26 @@ class TestEvaluate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["per_seed"]["0"]["sup_err_structure"] <= 1e-7
         assert summary["per_seed"]["0"]["sup_err"] > 1e-7  # truncation remains
+
+    def test_node_dynamics_evaluated_once_per_seed(self, tmp_path, monkeypatch):
+        # band_error and passivity_check read one sweep of the model
+        calls = []
+        horner = netreduce.transfer._horner
+
+        def counting_horner(coeffs, s):
+            calls.append(coeffs.shape)
+            return horner(coeffs, s)
+
+        monkeypatch.setattr(netreduce.transfer, "_horner", counting_horner)
+        cfg = write_config(tmp_path, base_config(grid_size=10, seeds=[0, 1]))
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        # each call stacks the 80 node numerators and denominators and f's two
+        assert calls == [(162, 2)] * 2
+
+    def test_band_without_an_evaluated_frequency_exits_2(self, tmp_path, capsys):
+        cfg = all_gap_config(tmp_path)
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "NoFrequencyEvaluated: all 2 grid frequencies failed" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path):
         doc = base_config()
@@ -358,6 +389,19 @@ class TestExperiment:
                 "message": "stage 'aggregation': member 1 has zero numerator; inverse undefined",
             }
         ]
+
+    def test_band_without_an_evaluated_frequency_is_a_failed_cell(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = all_gap_config(tmp_path)
+        assert main(["experiment", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+        with open(out / "experiment.csv") as fh:
+            header, row = [ln.split(",") for ln in fh.read().splitlines() if ln]
+        cells = dict(zip(header, row))
+        assert (cells["status"], cells["error_type"], cells["stage"]) == (
+            "failed", "NoFrequencyEvaluated", ""
+        )
+        failure = json.loads((out / "summary.json").read_text())["failures"][0]
+        assert failure["message"].startswith("all 2 grid frequencies failed; first at omega=1: ")
 
     def test_ok_rows_leave_failure_columns_empty(self, tmp_path):
         cfg = write_config(tmp_path, base_config(grid_size=10))

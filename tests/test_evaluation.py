@@ -1,8 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
 from netreduce import (
-    AggregateEvaluator,
     FreqGrid,
     NetworkModel,
     RationalTF,
@@ -20,11 +21,12 @@ from netreduce import (
     sample_adjacency,
     sin_theta,
     spectral_norm,
+    sweep,
     theorem1_bound,
     tf_eval,
 )
 from netreduce import evaluation
-from netreduce.errors import ModelMismatch, NearSingular
+from netreduce.errors import ModelMismatch, NearSingular, NoFrequencyEvaluated
 from netreduce.graphs import Partition
 from netreduce.reduction import ReducedModel, refine_embedding, reduced_laplacian
 
@@ -95,7 +97,7 @@ class TestEvalTyu:
         ginv = np.full(6, 1.0 + 0j)
         ginv[2] = bad
         with pytest.raises(NearSingular, match="loop matrix"):
-            eval_t_yu(model, 1j, ginv)
+            evaluation._loop_inverse(model, 1j, ginv, tf_eval(model.coupling, 1j))
 
 
 class TestEvalTk:
@@ -123,10 +125,10 @@ class TestEvalTk:
         a = np.ones((n, n)) - np.eye(n)
         model = NetworkModel(nodes=[g] * n, coupling=UNIT_GAIN, laplacian=laplacian(a))
         data = bottom_k_eig(model.laplacian, 1)
-        agg = AggregateEvaluator(model.nodes)
         s = 0.7j
+        ghat = 1.0 / sum(1.0 / tf_eval(g, s) for g in model.nodes)
         t1 = eval_t_k(model, data, s)
-        np.testing.assert_allclose(t1, agg(s) * np.ones((n, n)), rtol=1e-9)
+        np.testing.assert_allclose(t1, ghat * np.ones((n, n)), rtol=1e-9)
 
     def test_matches_straight_line_reimplementation(self):
         # oracle: same formula assembled step by step, solved with lstsq
@@ -146,13 +148,13 @@ class TestEvalTHatK:
     def test_k1_rank_one_form(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
         reduced = run_algorithm_1(model, 1, seed=0)
-        agg = AggregateEvaluator(model.nodes)
         s = 0.9j
+        ghat = 1.0 / sum(1.0 / tf_eval(g, s) for g in model.nodes)
         t_hat = eval_t_hat_k(model, reduced, s)
-        np.testing.assert_allclose(t_hat, agg(s) * np.ones((model.n,) * 2), rtol=1e-9)
+        np.testing.assert_allclose(t_hat, ghat * np.ones((model.n,) * 2), rtol=1e-9)
         # algebraic identity of the rank-one form: 1^T T_hat 1 = n^2 ghat
         total = np.ones(model.n) @ t_hat @ np.ones(model.n)
-        assert total == pytest.approx(model.n**2 * agg(s), rel=1e-9)
+        assert total == pytest.approx(model.n**2 * ghat, rel=1e-9)
 
     def test_matches_eigenform_on_ideal(self, eq15_params):
         l_blk, _ = expected_laplacian(eq15_params)
@@ -210,14 +212,14 @@ class TestBandError:
             partition=part,
             lambda_k=data.lambda_k,
             l_k=l_k,
-            aggregates=tuple(AggregateEvaluator([g]) for g in nodes),
+            nodes=tuple(nodes),
             s_matrix=res.s_matrix,
             coupling=COUPLING_INTEGRATOR,
             lambda_next=None,
             refine_objective=res.objective,
         )
         grid = FreqGrid.default(n_points=25)
-        report = band_error(model, reduced, data, grid)
+        report = band_error(model, reduced, data, sweep(model, grid))
         assert report.sup_err <= 1e-8
         assert not report.failures
 
@@ -226,7 +228,7 @@ class TestBandError:
         reduced = run_algorithm_1(model, 3, seed=0)
         data = bottom_k_eig(model.laplacian, 3)
         grid = FreqGrid.default(n_points=60)
-        report = band_error(model, reduced, data, grid)
+        report = band_error(model, reduced, data, sweep(model, grid))
         assert report.bound_satisfied
         assert report.sup_err > 0
         assert len(report.per_freq) == 60
@@ -256,7 +258,7 @@ class TestBandError:
         part = reduced.partition
         res = refine_embedding(data, part)
         v_dist = float(np.linalg.norm(data.v_k - res.v_hat))
-        report = passivity_check(model, FreqGrid.default(eta=10.0, n_points=200))
+        report = passivity_check(sweep(model, FreqGrid.default(eta=10.0, n_points=200)))
         budget = 2 * (report.gamma + report.gamma**2 * report.m_eta) * v_dist
         for w in (0.01, 0.5, 5.0):
             s = 1j * w
@@ -271,9 +273,9 @@ class TestBandError:
         reduced = run_algorithm_1(small, 3, seed=0)
         grid = FreqGrid.default(n_points=20)
         with pytest.raises(ModelMismatch, match="node counts differ"):
-            band_error(large, reduced, reduced.spectral, grid)
+            band_error(large, reduced, reduced.spectral, sweep(large, grid))
         with pytest.raises(ModelMismatch, match="k=3, eigendata k=4"):
-            band_error(small, reduced, bottom_k_eig(small.laplacian, 4), grid)
+            band_error(small, reduced, bottom_k_eig(small.laplacian, 4), sweep(small, grid))
 
     def test_programming_error_propagates(self, eq15_params, monkeypatch):
         # only typed evaluation failures become gaps
@@ -286,27 +288,39 @@ class TestBandError:
         # the loop inverse is the per-frequency call of the dense work
         monkeypatch.setattr(evaluation, "_loop_inverse", broken)
         with pytest.raises(ValueError, match="broken kernel"):
-            band_error(model, reduced, reduced.spectral, FreqGrid.default(n_points=5))
+            band_error(model, reduced, reduced.spectral, sweep(model, FreqGrid.default(n_points=5)))
 
-    def test_pole_of_a_node_inverse_is_a_gap(self):
-        # (s^2 + 1)/(s + 1)^2 vanishes at s = j, so its inverse has a pole
+    @staticmethod
+    def _notch_model():
+        # (s^2 + 1)/(s + 1)^2 vanishes at s = j, so its inverse has a pole;
+        # two heavy triangles joined by one light edge
         notch = RationalTF((1.0, 0.0, 1.0), (1.0, 2.0, 1.0))
         nodes = [notch] + [first_order_swing(1.0, 1.0)] * 5
-        # two heavy triangles joined by one light edge
         a = np.kron(np.eye(2), 5.0 * (1 - np.eye(3)))
         a[0, 3] = a[3, 0] = 0.1
         model = NetworkModel(nodes=nodes, coupling=UNIT_GAIN, laplacian=laplacian(a))
-        reduced = run_algorithm_1(model, 2, seed=0)
+        return model, run_algorithm_1(model, 2, seed=0)
+
+    def test_pole_of_a_node_inverse_is_a_gap(self):
+        model, reduced = self._notch_model()
         grid = FreqGrid(eta=10.0, omega_min=0.1, points=np.array([0.1, 1.0, 10.0]))
-        report = band_error(model, reduced, reduced.spectral, grid)
+        report = band_error(model, reduced, reduced.spectral, sweep(model, grid))
         assert report.failures == ((1.0, "inverse dynamics has a pole at s=1j"),)
         assert [w for w, _ in report.per_freq] == [0.1, 10.0]
+
+    def test_all_gap_band_raises(self):
+        # a band without one evaluated frequency has no error to report
+        model, reduced = self._notch_model()
+        grid = FreqGrid(eta=10.0, omega_min=0.1, points=np.array([1.0]))
+        want = "all 1 grid frequencies failed; first at omega=1: inverse dynamics has a pole at s=1j"
+        with pytest.raises(NoFrequencyEvaluated, match=f"^{re.escape(want)}$"):
+            band_error(model, reduced, reduced.spectral, sweep(model, grid))
 
     def test_csv_rows_shape(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
         reduced = run_algorithm_1(model, 3, seed=0)
         data = bottom_k_eig(model.laplacian, 3)
-        report = band_error(model, reduced, data, FreqGrid.default(n_points=10))
+        report = band_error(model, reduced, data, sweep(model, FreqGrid.default(n_points=10)))
         rows = report.rows()
         assert len(rows) == 10
         assert all(len(r) == 5 for r in rows)
@@ -320,7 +334,7 @@ def _misclustered(model, data):
         partition=part,
         lambda_k=data.lambda_k,
         l_k=reduced_laplacian(res.s_matrix, data.lambda_k),
-        aggregates=tuple(AggregateEvaluator([model.nodes[j] for j in b]) for b in part.blocks()),
+        nodes=model.nodes,
         s_matrix=res.s_matrix,
         coupling=model.coupling,
     )
@@ -335,7 +349,7 @@ class TestBandErrorNorms:
         if misclustered:
             reduced = _misclustered(model, data)
         grid = FreqGrid.default(n_points=15)
-        report = band_error(model, reduced, data, grid)
+        report = band_error(model, reduced, data, sweep(model, grid))
         for w, got in zip(grid.points, report.err_struct):
             t_k = eval_t_k(model, data, 1j * w)
             dense = spectral_norm(t_k - eval_t_hat_k(model, reduced, 1j * w))
@@ -355,7 +369,8 @@ class TestBandErrorNorms:
             return svd(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        band_error(model, reduced, reduced.spectral, FreqGrid.default(n_points=7), hinf=hinf)
+        grid = FreqGrid.default(n_points=7)
+        band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=hinf)
         assert shapes.count((model.n, model.n)) == per_freq * 7
         # the other norms are stacked SVDs of at most 2k x 2k matrices
         assert max(max(s[-2:]) for s in shapes if s != (model.n, model.n)) <= 6
@@ -364,9 +379,9 @@ class TestBandErrorNorms:
         model, _ = make_swing_model(eq15_params, seed=0)
         reduced = run_algorithm_1(model, 3, seed=0)
         grid = FreqGrid.default(n_points=5)
-        report = band_error(model, reduced, reduced.spectral, grid)
+        report = band_error(model, reduced, reduced.spectral, sweep(model, grid))
         assert report.hinf_t_yu is None and report.hinf_t_hat_k is None
-        full = band_error(model, reduced, reduced.spectral, grid, hinf=True)
+        full = band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=True)
         assert full.hinf_t_yu > 0 and full.hinf_t_hat_k > 0
         assert full.per_freq == report.per_freq and full.err_struct == report.err_struct
 
@@ -380,7 +395,7 @@ class TestGridPass:
         reduced = run_algorithm_1(model, 3, seed=3)
         data = reduced.spectral
         grid = FreqGrid.default(n_points=12)
-        report = band_error(model, reduced, data, grid, hinf=True)
+        report = band_error(model, reduced, data, sweep(model, grid), hinf=True)
         assert report.failures == ()
         hinf_yu = hinf_hat = 0.0
         for i, w in enumerate(grid.points):
@@ -425,13 +440,13 @@ class TestGridPass:
             partition=part,
             lambda_k=np.array([0.0, 2.0]),
             l_k=np.array([[1.0, -1.0], [-1.0, 1.0]]),
-            aggregates=tuple(AggregateEvaluator([nodes[j] for j in b]) for b in part.blocks()),
+            nodes=tuple(nodes),
             s_matrix=np.eye(2),
             coupling=UNIT_GAIN,
         )
         data = data or bottom_k_eig(model.laplacian, 2)
         grid = FreqGrid(eta=2.0, omega_min=0.5, points=np.array([0.5, 1.0, 2.0]))
-        return band_error(model, reduced, data, grid, hinf=True)
+        return band_error(model, reduced, data, sweep(model, grid), hinf=True)
 
     def test_singular_rank_k_core_is_one_gap(self):
         # with V = [e_0, e_2] and Lambda = diag(0, 1) the core at s = j is
@@ -461,11 +476,12 @@ def _decoupled_report(model, grid):
         partition=Partition(np.arange(n), n),
         lambda_k=np.zeros(n),
         l_k=np.zeros((n, n)),
-        aggregates=tuple(AggregateEvaluator([g]) for g in model.nodes),
+        nodes=model.nodes,
         s_matrix=np.eye(n),
         coupling=model.coupling,
     )
-    return band_error(model, reduced, SpectralData(np.zeros(n), np.eye(n)), grid, hinf=True)
+    data = SpectralData(np.zeros(n), np.eye(n))
+    return band_error(model, reduced, data, sweep(model, grid), hinf=True)
 
 
 class TestHinfGrid:
@@ -482,7 +498,7 @@ class TestHinfGrid:
         model, gamma = make_swing_model(eq15_params, seed=3)
         grid = FreqGrid.default(n_points=60)
         reduced = run_algorithm_1(model, 3, seed=3)
-        report = band_error(model, reduced, reduced.spectral, grid, hinf=True)
+        report = band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=True)
         assert report.hinf_t_yu <= gamma * (1 + 1e-6)
         assert report.hinf_t_hat_k <= gamma * (1 + 1e-6)
 
@@ -512,7 +528,7 @@ class TestHinfGrid:
         monkeypatch.setattr(evaluation, "theorem1_bound", record_m1)
         for w in (0.01, 0.5, 2.0):
             grid = FreqGrid(eta=2.0 * w, omega_min=0.5 * w, points=np.array([w]))
-            report = band_error(model, reduced, reduced.spectral, grid, hinf=True)
+            report = band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=True)
             t_k = eval_t_k(model, reduced.spectral, 1j * w)
             t_hat = eval_t_hat_k(model, reduced, 1j * w)
             assert seen_m1[-1] == pytest.approx(spectral_norm(t_k), rel=1e-12)
@@ -537,7 +553,7 @@ class TestHinfGrid:
         model = NetworkModel(nodes=[g] * 6, coupling=UNIT_GAIN, laplacian=laplacian(a))
         reduced = run_algorithm_1(model, 2, seed=0)
         grid = FreqGrid(eta=10.0, omega_min=0.1, points=np.array([0.1, 1.0, 10.0]))
-        report = band_error(model, reduced, reduced.spectral, grid, hinf=True)
+        report = band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=True)
         assert [w for w, _ in report.failures] == [1.0]
         assert [w for w, _ in report.per_freq] == [0.1, 10.0]
         expected = max(spectral_norm(eval_t_yu(model, 1j * w)) for w in (0.1, 10.0))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from netreduce import (
-    AggregateEvaluator,
     DisconnectedGraph,
     KTooLarge,
     NetworkModel,
     Partition,
+    RationalTF,
     ReducedModel,
+    ReductionFailed,
     SingularS,
     block_ideal_check,
     block_spectrum_oracle,
@@ -21,6 +22,7 @@ from netreduce import (
     refine_embedding,
     run_algorithm_1,
     sample_adjacency,
+    tf_eval,
 )
 
 from conftest import COUPLING_INTEGRATOR, make_swing_model, random_wsbm
@@ -239,10 +241,10 @@ class TestRunAlgorithm1:
         assert reduced.k == 1
         np.testing.assert_allclose(reduced.l_k, [[0.0]], atol=0.0)
         # T_hat_1 must be the rank-one aggregate ghat(s) * ones
-        agg = AggregateEvaluator(model.nodes)
         s = 0.3 + 0.7j
+        ghat = 1.0 / sum(1.0 / tf_eval(g, s) for g in model.nodes)
         t_hat = eval_t_hat_k(model, reduced, s)
-        np.testing.assert_allclose(t_hat, agg(s) * np.ones((model.n, model.n)), rtol=1e-9)
+        np.testing.assert_allclose(t_hat, ghat * np.ones((model.n, model.n)), rtol=1e-9)
 
     def test_k_equal_n_rejected(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
@@ -253,9 +255,21 @@ class TestRunAlgorithm1:
         model, _ = make_swing_model(eq15_params, seed=0)
         reduced = run_algorithm_1(model, 3, seed=0)
         assert reduced.partition.same_blocks(eq15_params.true_partition())
-        assert sorted(len(a.members) for a in reduced.aggregates) == [20, 20, 40]
+        assert reduced.nodes is model.nodes
+        assert sorted(len(idx) for idx in reduced.partition.blocks()) == [20, 20, 40]
         assert reduced.lambda_next > 100
         assert reduced.refine_objective > 0
+
+    def test_zero_numerator_node_fails_aggregation(self):
+        # the aggregate sums member inverses, and 0/(s + 1) has none
+        a = np.kron(np.eye(2), 1 - np.eye(3))
+        a[0, 3] = a[3, 0] = 0.1
+        nodes = [first_order_swing(1, 1)] * 6
+        nodes[4] = RationalTF((0.0,), (1.0, 1.0))
+        model = NetworkModel(nodes=nodes, coupling=COUPLING_INTEGRATOR, laplacian=laplacian(a))
+        with pytest.raises(ReductionFailed, match="member 1 has zero numerator") as info:
+            run_algorithm_1(model, 2, seed=0)
+        assert info.value.stage == "aggregation"
 
     def test_disconnected_graph_rejected(self):
         lap = np.zeros((4, 4))
@@ -287,10 +301,16 @@ class TestRunAlgorithm1:
         doc = reduced.to_dict()
         clone = ReducedModel.from_dict(doc)
         assert clone.spectral is None
+        assert clone.nodes == reduced.nodes
+        assert clone.to_dict() == doc
         s = 0.1 + 1.3j
         np.testing.assert_allclose(
-            eval_t_hat_k(None, clone, s), eval_t_hat_k(model, reduced, s), rtol=1e-12
+            eval_t_hat_k(model, clone, s), eval_t_hat_k(model, reduced, s), rtol=1e-12
         )
+        # every node needs its dynamics in the document
+        del doc["aggregates"][1]["members"][0]
+        with pytest.raises(ValueError, match="no dynamics for node"):
+            ReducedModel.from_dict(doc)
 
 
 class TestTheorem2Equivalence:

@@ -4,25 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netreduce import (
-    AggregateEvaluator,
     CouplingVanishes,
     FreqGrid,
     NetworkModel,
     NonFinite,
     NotPassiveOnGrid,
     NotSymmetric,
+    Partition,
     PoleAtS,
     RationalTF,
-    ZeroNumerator,
     first_order_swing,
     laplacian,
     passivity_check,
     sample_adjacency,
+    sweep,
     tf_eval,
 )
-from netreduce.transfer import _polyval, node_values
+from netreduce import evaluation
+from netreduce.transfer import node_values
 
-from conftest import COUPLING_INTEGRATOR
+from conftest import COUPLING_INTEGRATOR, make_swing_model
 
 
 class TestRationalTF:
@@ -96,8 +97,8 @@ class TestTfEval:
         if abs(nv) < 1e-6 or abs(dv) < 1e-6:
             return
         direct = 1.0 / tf_eval(g, s)
-        num_v, den_v, pole = node_values([g], [s])
-        assert not pole[0]
+        num_v, den_v, inverse_pole, _ = node_values([g], [s])
+        assert not inverse_pole[0, 0]
         assert direct == pytest.approx(den_v[0, 0] / num_v[0, 0], rel=1e-10)
 
 
@@ -111,18 +112,42 @@ MIXED_NODES = [
 
 class TestNodeValues:
     def test_stacked_horner_equals_scalar(self):
+        # np.polyval runs Horner's rule one point at a time, and tf_eval is
+        # the one-column call of the stacked kernel: both bit-equal
         s = np.array([0.0, 0.5j, 1 + 1j, -3.0, 3.3j])
-        num, den, pole = node_values(MIXED_NODES, s)
+        num, den, inverse_pole, pole = node_values(MIXED_NODES, s)
         assert num.shape == den.shape == (s.size, len(MIXED_NODES))
         for f, sf in enumerate(s):
             for i, g in enumerate(MIXED_NODES):
-                assert num[f, i] == _polyval(g.num, sf)
-                assert den[f, i] == _polyval(g.den, sf)
-        assert not pole.any()
+                assert num[f, i] == np.polyval(g.num[::-1], sf)
+                assert den[f, i] == np.polyval(g.den[::-1], sf)
+                assert tf_eval(g, sf) == num[f, i] / den[f, i]
+        assert not inverse_pole.any() and not pole.any()
+
+    def test_sweep_coupling_equals_tf_eval(self):
+        # f of a sweep and tf_eval divide the same stacked values the same way
+        rng = np.random.default_rng(3)
+        s = np.concatenate([1j * np.logspace(-3, 2, 40), rng.standard_normal(10) + 1j])
+        for _ in range(30):
+            deg = int(rng.integers(1, 5))
+            num = rng.standard_normal(int(rng.integers(1, deg + 2)))
+            f = RationalTF(num, [*rng.standard_normal(deg), 1.0])
+            model = _two_node_model([first_order_swing(1.0, 1.0)] * 2, coupling=f)
+            got = evaluation.Sweep(model, s).f
+            assert all(got[i] == tf_eval(f, sf) for i, sf in enumerate(s))
+
+    def test_subset_equals_gathered_columns(self):
+        # another padding width and column position leave every value unchanged
+        s = np.array([0.0, 0.5j, 1 + 1j, -3.0, 3.3j, 0.2 - 0.7j])
+        full = node_values(MIXED_NODES, s)
+        for idx in ([0], [3], [1, 3], [3, 0], [2, 0, 1]):
+            part = node_values([MIXED_NODES[i] for i in idx], s)
+            for got, want in zip(part, full):
+                assert np.array_equal(got, want[:, idx])
 
     def test_stacked_inverse_and_value_match_pointwise(self):
         s = 1j * np.logspace(-3, 1, 30)
-        num, den, _ = node_values(MIXED_NODES, s)
+        num, den, _, _ = node_values(MIXED_NODES, s)
         for f, sf in enumerate(s):
             for i, g in enumerate(MIXED_NODES):
                 assert den[f, i] / num[f, i] == pytest.approx(1.0 / tf_eval(g, sf), rel=1e-15)
@@ -131,44 +156,73 @@ class TestNodeValues:
     def test_pole_mask_marks_zeros_of_a_numerator(self):
         # (s^2 + 1)/(s + 1)^2 vanishes at s = j: its inverse has a pole there
         notch = RationalTF((1.0, 0.0, 1.0), (1.0, 2.0, 1.0))
-        _, _, pole = node_values([first_order_swing(1.0, 1.0), notch], [0.5j, 1j, 2j])
-        assert pole.tolist() == [False, True, False]
+        _, _, inverse_pole, pole = node_values([first_order_swing(1.0, 1.0), notch], [0.5j, 1j, 2j])
+        assert inverse_pole.any(axis=1).tolist() == [False, True, False]
+        assert inverse_pole[1].tolist() == [False, True] and not pole.any()
 
     def test_aggregate_over_grid_matches_call(self):
-        agg = AggregateEvaluator(MIXED_NODES)
         s = 1j * np.logspace(-2, 1, 25)
-        vals, pole = agg.over(s)
+        vals, pole = _aggregate(MIXED_NODES, s)
         assert not pole.any()
         for sf, val in zip(s, vals):
-            assert agg(sf) == val
+            one, one_pole = _aggregate(MIXED_NODES, [sf])
+            assert not one_pole[0] and one[0] == val
+
+
+def _aggregate(members, s):
+    """Aggregate of ``members`` at the points ``s`` and its pole mask, as band_error sums it.
+
+    The members are the first block of a decoupled model whose one other
+    node is a block of its own.
+    """
+    nodes = [*members, first_order_swing(1.0, 1.0)]
+    n = len(nodes)
+    model = NetworkModel(nodes=nodes, coupling=COUPLING_INTEGRATOR, laplacian=np.zeros((n, n)))
+    part = Partition([0] * (n - 1) + [1], 2)
+    ghat, pole = evaluation._aggregates(evaluation.Sweep(model, s), part)
+    return ghat[:, 0], pole
 
 
 class TestAggregate:
+    # oracle: the member-wise harmonic sum 1 / sum(1 / tf_eval(g, s))
     def test_identical_members_harmonic_sum(self):
         g = RationalTF((1.0,), (1.0, 1.0))
         for m in (1, 3, 7):
-            agg = AggregateEvaluator([g] * m)
-            for s in (0.0, 1j, 0.3 + 2j):
-                assert agg(s) == pytest.approx(tf_eval(g, s) / m, rel=1e-10)
+            vals, pole = _aggregate([g] * m, [0.0, 1j, 0.3 + 2j])
+            assert not pole.any()
+            for s, val in zip((0.0, 1j, 0.3 + 2j), vals):
+                assert val == pytest.approx(tf_eval(g, s) / m, rel=1e-10)
 
     def test_singleton_equals_member(self):
         g = RationalTF((2.0, 1.0), (2.0, 3.0, 1.0))
-        agg = AggregateEvaluator([g])
-        for s in (0.5j, 1 + 1j, 2.0):
-            assert agg(s) == pytest.approx(tf_eval(g, s), rel=1e-12)
+        points = (0.5j, 1 + 1j, 2.0)
+        vals, _ = _aggregate([g], points)
+        for s, val in zip(points, vals):
+            assert val == pytest.approx(tf_eval(g, s), rel=1e-12)
 
     def test_two_member_dc_value(self):
         # oracle: explicit sum of inverses at s=0 is 1 + 2, so ghat = 1/3
-        agg = AggregateEvaluator([RationalTF((1.0,), (1.0, 1.0)), RationalTF((1.0,), (2.0, 1.0))])
-        assert agg(0.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        members = [RationalTF((1.0,), (1.0, 1.0)), RationalTF((1.0,), (2.0, 1.0))]
+        vals, _ = _aggregate(members, [0.0])
+        assert vals[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
-    def test_zero_numerator_rejected(self):
-        with pytest.raises(ZeroNumerator):
-            AggregateEvaluator([RationalTF((0.0,), (1.0, 1.0))])
+    def test_sums_of_the_sweep_equal_member_sums_bit_for_bit(self, eq15_params):
+        # blocks of 20 and 40 members take numpy's pairwise row sums; a
+        # gather that is not C-ordered would add the members in another order
+        model, _ = make_swing_model(eq15_params, seed=0)
+        part = eq15_params.true_partition()
+        s = 1j * np.logspace(-3, 1, 50)
+        ghat, pole = evaluation._aggregates(evaluation.Sweep(model, s), part)
+        assert not pole.any()
+        for j, idx in enumerate(part.blocks()):
+            num, den, _, _ = node_values([model.nodes[i] for i in idx], s)
+            assert np.array_equal(ghat[:, j], 1.0 / (den / num).sum(axis=1))
 
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            AggregateEvaluator([])
+    def test_vanishing_sum_of_inverses_is_a_pole(self):
+        # 1/g = s + 1 and s - 1 sum to 2s, which vanishes at s = 0
+        members = [RationalTF((1.0,), (1.0, 1.0)), RationalTF((1.0,), (-1.0, 1.0))]
+        _, pole = _aggregate(members, [0.0, 1j])
+        assert pole.tolist() == [True, False]
 
 
 def _two_node_model(nodes, coupling=COUPLING_INTEGRATOR):
@@ -184,12 +238,12 @@ class TestPassivityCheck:
         nodes = [first_order_swing(1.0, di) for di in d]
         lap = np.array([[2.0, -1, -1], [-1, 2.0, -1], [-1, -1, 2.0]])
         model = NetworkModel(nodes=nodes, coupling=COUPLING_INTEGRATOR, laplacian=lap)
-        report = passivity_check(model, FreqGrid.default(eta=10.0, n_points=200))
+        report = passivity_check(sweep(model, FreqGrid.default(eta=10.0, n_points=200)))
         assert report.gamma == pytest.approx(1.0 / d.min(), rel=1e-9)
 
     def test_gamma_dominates_every_grid_point(self):
         model = _two_node_model([first_order_swing(2.0, 0.7), first_order_swing(1.0, 1.3)])
-        report = passivity_check(model, FreqGrid.default(eta=10.0, n_points=100))
+        report = passivity_check(sweep(model, FreqGrid.default(eta=10.0, n_points=100)))
         for g in model.nodes:
             vals = np.array([tf_eval(g, 1j * w) for w in report.grid])
             assert np.all(np.abs(vals) ** 2 / vals.real <= report.gamma * (1 + 1e-12))
@@ -197,7 +251,7 @@ class TestPassivityCheck:
     def test_coupling_lower_estimate_integrator(self):
         # |1/(jw)| = 1/w is minimized at the grid endpoint w = eta
         model = _two_node_model([first_order_swing(1.0, 1.0)] * 2)
-        report = passivity_check(model, FreqGrid.default(eta=10.0, n_points=150))
+        report = passivity_check(sweep(model, FreqGrid.default(eta=10.0, n_points=150)))
         assert report.f_lower == pytest.approx(0.1, rel=1e-12)
 
     def test_m_eta_first_order(self):
@@ -205,36 +259,36 @@ class TestPassivityCheck:
         model = _two_node_model(
             [RationalTF((1.0,), (1.0, 1.0))] * 2, coupling=RationalTF((1.0,), (1.0,))
         )
-        report = passivity_check(model, FreqGrid.default(eta=1.0, n_points=100))
+        report = passivity_check(sweep(model, FreqGrid.default(eta=1.0, n_points=100)))
         assert report.m_eta == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_not_passive_detected(self):
         model = _two_node_model([RationalTF((1.0,), (-1.0, 1.0))] * 2)
         with pytest.raises(NotPassiveOnGrid):
-            passivity_check(model, FreqGrid.default(eta=1.0, n_points=50))
+            passivity_check(sweep(model, FreqGrid.default(eta=1.0, n_points=50)))
 
     def test_first_non_passive_node_named(self):
         model = _two_node_model([first_order_swing(1.0, 1.0), RationalTF((1.0,), (-1.0, 1.0))])
         with pytest.raises(NotPassiveOnGrid, match=r"^node 1: Re\(g\(jw\)\) <= 0 at omega=0.001$"):
-            passivity_check(model, FreqGrid.default(eta=1.0, n_points=50))
+            passivity_check(sweep(model, FreqGrid.default(eta=1.0, n_points=50)))
 
     def test_node_pole_on_grid_raises(self):
         # 1/(s^2 + 1) has its pole at omega = 1, a grid point
         model = _two_node_model([first_order_swing(1.0, 1.0), RationalTF((1.0,), (1.0, 0.0, 1.0))])
         grid = FreqGrid(eta=10.0, omega_min=0.1, points=np.array([0.1, 1.0, 10.0]))
         with pytest.raises(PoleAtS):
-            passivity_check(model, grid)
+            passivity_check(sweep(model, grid))
 
     def test_vanishing_coupling_detected(self):
         model = _two_node_model(
             [first_order_swing(1.0, 1.0)] * 2, coupling=RationalTF((0.0,), (1.0, 1.0))
         )
         with pytest.raises(CouplingVanishes):
-            passivity_check(model, FreqGrid.default(eta=1.0, n_points=50))
+            passivity_check(sweep(model, FreqGrid.default(eta=1.0, n_points=50)))
 
     def test_integrator_imaginary_on_axis_recorded(self):
         model = _two_node_model([first_order_swing(1.0, 1.0)] * 2)
-        report = passivity_check(model, FreqGrid.default(eta=10.0, n_points=50))
+        report = passivity_check(sweep(model, FreqGrid.default(eta=10.0, n_points=50)))
         assert not report.coupling_real_on_axis
         assert report.coupling_max_imag > 0
 
@@ -242,7 +296,7 @@ class TestPassivityCheck:
         model = _two_node_model(
             [first_order_swing(1.0, 1.0)] * 2, coupling=RationalTF((2.0,), (1.0,))
         )
-        report = passivity_check(model, FreqGrid.default(eta=10.0, n_points=50))
+        report = passivity_check(sweep(model, FreqGrid.default(eta=10.0, n_points=50)))
         assert report.coupling_real_on_axis
 
 

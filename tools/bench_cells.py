@@ -10,7 +10,8 @@ ratio 1:2:1, swing nodes, f = 1/s, k = 3, graph seed 0):
 - ``cluster_embedding`` (50 restarts) of the bottom-3 embedding at n = 80,
   320 and 1280;
 - ``band_error`` on a 20-point grid over [1e-3, 10] at n = 32, 64, 160 and
-  320, with ``hinf`` off and on;
+  320, with ``hinf`` off and on; on a tree whose ``band_error`` reads a
+  ``sweep`` of the model, building that sweep is timed with it;
 - one ``experiment`` cell (``cli._experiment_cell``) of the
   ``experiment-pool`` workload's config at n = 32 and 64 (scales 1 and 2):
   the first cell of the process, which pays lazy imports, and the median
@@ -72,7 +73,7 @@ def measure():
     """Time every stage in this interpreter; returns {stage: seconds} and the thread settings."""
     import netreduce  # noqa: F401  (sets the one-thread BLAS default first)
 
-    from netreduce import cli
+    from netreduce import cli, evaluation
     from netreduce.config import build_model, config_from_dict
     from netreduce.evaluation import FreqGrid, band_error
     from netreduce.reduction import run_algorithm_1
@@ -97,12 +98,17 @@ def measure():
             lambda: cluster_embedding(data, 3, restarts=50, seed=0)
         )
     grid = FreqGrid.default(10.0, 1e-3, GRID_SIZE)
+
+    def over(model):
+        # what band_error takes: the model's sweep, or the grid in older trees
+        return evaluation.sweep(model, grid) if hasattr(evaluation, "sweep") else grid
+
     for n in BAND_N:
         model, _, _ = build_model(config_from_dict(_doc(n)), 0)
         reduced = run_algorithm_1(model, 3, seed=0)
         for hinf in (False, True):
             times[f"band_error/hinf={int(hinf)}/n={n}"] = _median_time(
-                lambda: band_error(model, reduced, reduced.spectral, grid, hinf=hinf)
+                lambda: band_error(model, reduced, reduced.spectral, over(model), hinf=hinf)
             )
     return {"times": times, "thread_env": {v: os.environ.get(v) for v in THREAD_VARS}}
 
