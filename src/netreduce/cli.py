@@ -1,9 +1,17 @@
 """Command-line front end.
 
-Subcommands: generate | reduce | evaluate | simulate | experiment. Every
-command is a pure function of (config, seeds): re-running with the same
-inputs reproduces outputs byte for byte. Exit codes: 0 success, 1 config
-validation error, 2 runtime failure.
+Subcommands: generate | reduce | evaluate | simulate | experiment. The four
+model commands take one path per seed, ``_reduce_one``: sample a WSBM model,
+reduce it by spectral clustering, and note whether the clustering found the
+true blocks; each command then checks the reduced network its own way, in
+frequency (``evaluate``, ``experiment``) or in time (``simulate``). Every
+output file is named through ``_Outputs``, which lists it in the command's
+``manifest.json`` in the order written. The columns of ``experiment.csv``
+are ``EXPERIMENT_COLUMNS``; those of a band CSV are ``ErrorReport.COLUMNS``.
+
+Every command is a pure function of (config, seeds): re-running with the
+same inputs reproduces outputs byte for byte. Exit codes: 0 success, 1
+config validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -26,79 +34,85 @@ from .simulate import close_loop, compare_responses, realize_reduced, step_respo
 
 BAND_NOTE = "band quantities computed on omega in [omega_min, eta]; omega=0 excluded (coupling pole)"
 
+# a cell dict's keys that experiment.csv prints, in order; a missing key prints empty
+EXPERIMENT_COLUMNS = (
+    "scale", "n", "seed", "status", "sup_err", "clustering_success",
+    "concentration", "lambda_k1", "refine_objective", "error_type", "stage",
+)
 
-def _manifest(command, config, extra=None):
-    doc = {
-        "command": command,
-        "config_hash": config_hash(config.to_dict()),
-        "netreduce_version": __version__,
-        "k": config.k,
-        "sizes": list(config.wsbm.sizes),
-        "n": config.wsbm.n,
-        "seeds": list(config.seeds),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
+
+class _Outputs:
+    """The output files of one command, listed in the order they are named."""
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        self.files = []
+
+    def path(self, name):
+        self.files.append(name)
+        return os.path.join(self.out_dir, name)
+
+    def manifest(self, command, config, **extra):
+        doc = {
+            "command": command,
+            "config_hash": config_hash(config.to_dict()),
+            "netreduce_version": __version__,
+            "k": config.k,
+            "sizes": list(config.wsbm.sizes),
+            "n": config.wsbm.n,
+            "seeds": list(config.seeds),
+            "files": self.files,
+            **extra,
+        }
+        dump_json(os.path.join(self.out_dir, "manifest.json"), doc)
 
 
 def _grid(config):
     return FreqGrid.default(config.eta, config.omega_min, config.grid_size)
 
 
+def _reduce_one(config, seed, scale=1):
+    """Sample one model and reduce it: (model, params, gamma, reduced, found).
+
+    ``params`` and ``gamma`` are :func:`config.build_model`'s; ``found``
+    says whether the clustering recovered the true WSBM blocks.
+    """
+    model, params, gamma = build_model(config, seed, scale=scale)
+    reduced = run_algorithm_1(model, config.k, seed=seed, restarts=config.restarts)
+    found = bool(reduced.partition.same_blocks(params.true_partition()))
+    return model, params, gamma, reduced, found
+
+
 def cmd_generate(config, out_dir):
-    files = []
+    out = _Outputs(out_dir)
     for seed in config.seeds:
         a = sample_adjacency(config.wsbm, seed)
-        lap = laplacian(a)
-        for name, mat in (("adjacency", a), ("laplacian", lap)):
-            path = os.path.join(out_dir, f"{name}_seed{seed}.csv")
-            write_matrix_csv(path, mat)
-            files.append(os.path.basename(path))
-    dump_json(os.path.join(out_dir, "manifest.json"), _manifest("generate", config, {"files": files}))
+        write_matrix_csv(out.path(f"adjacency_seed{seed}.csv"), a)
+        write_matrix_csv(out.path(f"laplacian_seed{seed}.csv"), laplacian(a))
+    out.manifest("generate", config)
     return 0
 
 
-def _reduce_one(config, seed):
-    model, params, gamma = build_model(config, seed)
-    reduced = run_algorithm_1(model, config.k, seed=seed, restarts=config.restarts)
-    doc = reduced.to_dict()
-    doc["clustering_matches_true"] = bool(
-        reduced.partition.same_blocks(params.true_partition())
-    )
-    doc["gamma_analytic"] = gamma
-    return model, reduced, doc
-
-
 def cmd_reduce(config, out_dir):
-    files = []
+    out = _Outputs(out_dir)
     for seed in config.seeds:
-        _, reduced, doc = _reduce_one(config, seed)
-        path = os.path.join(out_dir, f"reduced_seed{seed}.json")
-        dump_json(path, doc)
-        files.append(os.path.basename(path))
-        emb_path = os.path.join(out_dir, f"embedding_seed{seed}.csv")
-        write_matrix_csv(emb_path, reduced.spectral.v_k)
-        files.append(os.path.basename(emb_path))
-    dump_json(os.path.join(out_dir, "manifest.json"), _manifest("reduce", config, {"files": files}))
+        _, _, gamma, reduced, found = _reduce_one(config, seed)
+        doc = dict(reduced.to_dict(), clustering_matches_true=found, gamma_analytic=gamma)
+        dump_json(out.path(f"reduced_seed{seed}.json"), doc)
+        write_matrix_csv(out.path(f"embedding_seed{seed}.csv"), reduced.spectral.v_k)
+    out.manifest("reduce", config)
     return 0
 
 
 def cmd_evaluate(config, out_dir):
+    out = _Outputs(out_dir)
     grid = _grid(config)
     summary = {"band_note": BAND_NOTE, "per_seed": {}}
-    files = []
     for seed in config.seeds:
-        model, reduced, doc = _reduce_one(config, seed)
+        model, _, _, reduced, found = _reduce_one(config, seed)
         sw = sweep(model, grid)
         report = band_error(model, reduced, reduced.spectral, sw, hinf=True)
-        path = os.path.join(out_dir, f"band_seed{seed}.csv")
-        write_table_csv(
-            path,
-            ["omega", "err_yu_hatk", "err_yu_tk", "theorem1_bound", "feasible"],
-            report.rows(),
-        )
-        files.append(os.path.basename(path))
+        write_table_csv(out.path(f"band_seed{seed}.csv"), report.COLUMNS, report.rows())
         passivity = passivity_check(sw)
         summary["per_seed"][str(seed)] = {
             "sup_err": report.sup_err,
@@ -111,73 +125,58 @@ def cmd_evaluate(config, out_dir):
             "m_eta_hat": passivity.m_eta,
             "f_lower_hat": passivity.f_lower,
             "coupling_real_on_axis": passivity.coupling_real_on_axis,
-            "clustering_matches_true": doc["clustering_matches_true"],
+            "clustering_matches_true": found,
         }
-    dump_json(os.path.join(out_dir, "summary.json"), summary)
-    dump_json(
-        os.path.join(out_dir, "manifest.json"),
-        _manifest("evaluate", config, {"files": files + ["summary.json"]}),
-    )
+    dump_json(out.path("summary.json"), summary)
+    out.manifest("evaluate", config)
     return 0
 
 
 def cmd_simulate(config, out_dir):
-    files = []
+    out = _Outputs(out_dir)
+    sim = config.sim
     summary = {"per_seed": {}}
     for seed in config.seeds:
-        model, reduced, doc = _reduce_one(config, seed)
-        sim = config.sim
+        model, _, _, reduced, found = _reduce_one(config, seed)
+        assignment = reduced.partition.assignment
         full_loop = close_loop(model.nodes, model.coupling, model.laplacian)
         red_loop = realize_reduced(reduced)
         full = step_response(full_loop, sim.input_node, sim.t_end, sim.dt)
-        group_in = int(reduced.partition.assignment[sim.input_node])
+        group_in = int(assignment[sim.input_node])
         red = step_response(red_loop, group_in, sim.t_end, sim.dt)
 
-        full_path = os.path.join(out_dir, f"full_seed{seed}.csv")
-        red_path = os.path.join(out_dir, f"reduced_seed{seed}.csv")
-        write_matrix_csv(full_path, full.outputs, lead=full.times)
+        write_matrix_csv(out.path(f"full_seed{seed}.csv"), full.outputs, lead=full.times)
         # node i repeats its group's aggregate column
         write_matrix_csv(
-            red_path,
+            out.path(f"reduced_seed{seed}.csv"),
             red.outputs,
-            columns=[0, *(reduced.partition.assignment + 1).tolist()],
+            columns=[0, *(assignment + 1).tolist()],
             lead=red.times,
         )
-        files += [os.path.basename(full_path), os.path.basename(red_path)]
-
         cmp_report = compare_responses(full, red, reduced.partition)
-        cmp_path = os.path.join(out_dir, f"compare_seed{seed}.csv")
         write_table_csv(
-            cmp_path,
+            out.path(f"compare_seed{seed}.csv"),
             ["node", "group", "rel_l2"],
-            [
-                (i, int(reduced.partition.assignment[i]), cmp_report.per_node[i])
-                for i in range(reduced.n)
-            ],
+            [(i, int(assignment[i]), cmp_report.per_node[i]) for i in range(reduced.n)],
         )
-        files.append(os.path.basename(cmp_path))
         summary["per_seed"][str(seed)] = {
             "input_node": sim.input_node,
             "input_group": group_in,
             "max_rel_l2": float(cmp_report.per_node.max()),
             "per_group_max_rel_l2": cmp_report.per_group.tolist(),
-            "clustering_matches_true": doc["clustering_matches_true"],
+            "clustering_matches_true": found,
         }
-    dump_json(os.path.join(out_dir, "summary.json"), summary)
-    dump_json(
-        os.path.join(out_dir, "manifest.json"),
-        _manifest("simulate", config, {"files": files + ["summary.json"]}),
-    )
+    dump_json(out.path("summary.json"), summary)
+    out.manifest("simulate", config)
     return 0
 
 
 def _experiment_cell(args):
     config, scale, seed = args
     try:
-        model, params, gamma = build_model(config, seed, scale=scale)
-        l_blk, _ = expected_laplacian(params)
-        reduced = run_algorithm_1(model, config.k, seed=seed, restarts=config.restarts)
+        model, params, _, reduced, found = _reduce_one(config, seed, scale)
         report = band_error(model, reduced, reduced.spectral, sweep(model, _grid(config)))
+        l_blk, _ = expected_laplacian(params)
         conc = float(np.abs(np.linalg.eigvalsh(model.laplacian - l_blk)).max())
         return {
             "scale": scale,
@@ -186,7 +185,7 @@ def _experiment_cell(args):
             "status": "ok",
             "sup_err": report.sup_err,
             "bound_satisfied": report.bound_satisfied,
-            "clustering_success": bool(reduced.partition.same_blocks(params.true_partition())),
+            "clustering_success": found,
             "concentration": conc,
             "lambda_k1": reduced.lambda_next,
             "refine_objective": reduced.refine_objective,
@@ -194,7 +193,6 @@ def _experiment_cell(args):
     except Exception as exc:
         return {
             "scale": scale,
-            "n": None,
             "seed": seed,
             "status": "failed",
             "error_type": type(exc).__name__,
@@ -222,6 +220,7 @@ def _median(values):
 
 
 def cmd_experiment(config, out_dir, jobs=None):
+    out = _Outputs(out_dir)
     jobs = jobs or os.cpu_count() or 1
     cells = [(config, scale, seed) for scale in config.scales for seed in config.seeds]
     if jobs > 1 and len(cells) > 1:
@@ -230,29 +229,16 @@ def cmd_experiment(config, out_dir, jobs=None):
     else:
         results = [_experiment_cell(c) for c in cells]
 
-    header = [
-        "scale", "n", "seed", "status", "sup_err", "clustering_success",
-        "concentration", "lambda_k1", "refine_objective", "error_type", "stage",
+    write_table_csv(
+        out.path("experiment.csv"),
+        EXPERIMENT_COLUMNS,
+        [[r.get(c, "") for c in EXPERIMENT_COLUMNS] for r in results],
+    )
+    failures = [
+        {key: r[key] for key in ("scale", "seed", "error_type", "stage", "message")}
+        for r in results
+        if r["status"] == "failed"
     ]
-    rows = []
-    failures = []
-    for r in results:
-        if r["status"] == "ok":
-            rows.append(
-                (
-                    r["scale"], r["n"], r["seed"], "ok", r["sup_err"],
-                    int(r["clustering_success"]), r["concentration"],
-                    r["lambda_k1"], r["refine_objective"], "", "",
-                )
-            )
-        else:
-            empty = ("",) * 5
-            rows.append((r["scale"], "", r["seed"], "failed", *empty, r["error_type"], r["stage"]))
-            failures.append(
-                {key: r[key] for key in ("scale", "seed", "error_type", "stage", "message")}
-            )
-    write_table_csv(os.path.join(out_dir, "experiment.csv"), header, rows)
-
     summary = {"per_scale": {}, "failed_cells": len(failures), "failures": failures}
     ns, med_conc = [], []
     for scale in config.scales:
@@ -273,14 +259,8 @@ def cmd_experiment(config, out_dir, jobs=None):
     if len(ns) >= 2 and all(c > 0 for c in med_conc):
         slope = float(np.polyfit(np.log(ns), np.log(med_conc), 1)[0])
         summary["concentration_exponent"] = slope
-    dump_json(os.path.join(out_dir, "summary.json"), summary)
-    dump_json(
-        os.path.join(out_dir, "manifest.json"),
-        _manifest(
-            "experiment", config,
-            {"files": ["experiment.csv", "summary.json"], "scales": list(config.scales)},
-        ),
-    )
+    dump_json(out.path("summary.json"), summary)
+    out.manifest("experiment", config, scales=list(config.scales))
     return 0
 
 
@@ -309,15 +289,15 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
+    serial = {
+        "generate": cmd_generate,
+        "reduce": cmd_reduce,
+        "evaluate": cmd_evaluate,
+        "simulate": cmd_simulate,
+    }
     try:
-        if args.command == "generate":
-            return cmd_generate(config, args.out)
-        if args.command == "reduce":
-            return cmd_reduce(config, args.out)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(config, args.out)
+        if args.command in serial:
+            return serial[args.command](config, args.out)
         return cmd_experiment(config, args.out, jobs=args.jobs)
     except NetreduceError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

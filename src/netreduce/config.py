@@ -10,6 +10,7 @@ and the clustering restarts are seeded with the same run seed.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,14 +74,21 @@ def _require(d, key, path):
     return d[key]
 
 
-def _number(d, key, path, default=None, minimum=None):
+def _finite(v):
+    # json reads NaN and Infinity; both fail the comparison, as do ints beyond float
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _number(d, key, path, default=None, minimum=None, integer=False):
     if key not in d:
         if default is None:
             raise ConfigError(f"config field '{path}{key}': missing")
         return default
     v = d[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"config field '{path}{key}': expected a number")
+    if integer and type(v) is not int:
+        raise ConfigError(f"config field '{path}{key}': expected an integer")
+    if not _finite(v):
+        raise ConfigError(f"config field '{path}{key}': expected a finite number")
     if minimum is not None and v < minimum:
         raise ConfigError(f"config field '{path}{key}': must be >= {minimum}")
     return v
@@ -106,15 +114,11 @@ def config_from_dict(doc):
     nodes_doc = _require(doc, "nodes", "")
     preset = _require(nodes_doc, "preset", "nodes.")
     if preset == "swing":
-        nodes = {
-            "preset": "swing",
-            "m_range": list(nodes_doc.get("m_range", [1.0, 3.0])),
-            "d_range": list(nodes_doc.get("d_range", [0.5, 1.5])),
-        }
-        for rng_key in ("m_range", "d_range"):
-            lohi = nodes[rng_key]
-            if len(lohi) != 2 or lohi[0] <= 0 or lohi[1] < lohi[0]:
-                raise ConfigError(f"config field 'nodes.{rng_key}': need 0 < lo <= hi")
+        nodes = {"preset": "swing"}
+        for rng_key, default in (("m_range", [1.0, 3.0]), ("d_range", [0.5, 1.5])):
+            lohi = nodes[rng_key] = list(nodes_doc.get(rng_key, default))
+            if len(lohi) != 2 or not all(map(_finite, lohi)) or not 0 < lohi[0] <= lohi[1]:
+                raise ConfigError(f"config field 'nodes.{rng_key}': need finite 0 < lo <= hi")
     elif preset == "explicit":
         tfs = _require(nodes_doc, "tfs", "nodes.")
         try:
@@ -144,7 +148,7 @@ def config_from_dict(doc):
     omega_min = _number(doc, "omega_min", "", default=1e-3, minimum=1e-12)
     if omega_min >= eta:
         raise ConfigError("config field 'omega_min': must be below 'eta'")
-    grid_size = _number(doc, "grid_size", "", default=200, minimum=2)
+    grid_size = _number(doc, "grid_size", "", default=200, minimum=2, integer=True)
 
     seeds = doc.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
@@ -157,13 +161,13 @@ def config_from_dict(doc):
     if preset == "explicit" and scales != [1]:
         raise ConfigError("config field 'scales': must be [1], since an explicit node list fixes n")
 
-    restarts = int(_number(doc, "restarts", "", default=50, minimum=1))
+    restarts = _number(doc, "restarts", "", default=50, minimum=1, integer=True)
 
     sim_doc = doc.get("sim", {})
     sim = SimSettings(
         dt=_number(sim_doc, "dt", "sim.", default=1e-3, minimum=1e-9),
         t_end=_number(sim_doc, "t_end", "sim.", default=30.0, minimum=1e-9),
-        input_node=int(_number(sim_doc, "input_node", "sim.", default=1, minimum=0)),
+        input_node=_number(sim_doc, "input_node", "sim.", default=1, minimum=0, integer=True),
     )
     if sim.input_node >= wsbm.n:
         raise ConfigError(f"config field 'sim.input_node': must be below the {wsbm.n} nodes")
@@ -181,7 +185,7 @@ def config_from_dict(doc):
         k=k,
         eta=float(eta),
         omega_min=float(omega_min),
-        grid_size=int(grid_size),
+        grid_size=grid_size,
         seeds=tuple(seeds),
         scales=tuple(scales),
         restarts=restarts,

@@ -22,7 +22,7 @@ class NotSymmetric(NetreduceError):
 
 
 class NonFinite(NetreduceError, ValueError):
-    """Matrix has a NaN or infinite entry."""
+    """Matrix or transfer function has a NaN or infinite entry."""
 
 
 class KTooLarge(NetreduceError):
@@ -53,7 +53,7 @@ class DisconnectedGraph(NetreduceError):
     """Graph Laplacian has a numerically zero algebraic connectivity."""
 
 
-class ImproperTF(NetreduceError):
+class ImproperTF(NetreduceError, ValueError):
     """Transfer function is not proper."""
 
 

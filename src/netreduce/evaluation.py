@@ -12,6 +12,9 @@ or at most 2k x 2k) for every quantity whose rows and columns lie in a
 known low-dimensional subspace. ``band_error`` forms the k x k cores and
 the small SVDs once per grid, stacked over the frequencies; the one-point
 functions call the same helpers with a stack of one.
+
+An :class:`ErrorReport` stores each band quantity once, as a column over the
+frequencies; its suprema and bound verdict are read off those columns.
 """
 
 from __future__ import annotations
@@ -248,32 +251,41 @@ class ErrorReport:
     spectral norm over the grid), or None when they were not requested;
     sampling estimates never exceed the true norm of a stable system.
     Frequencies whose evaluation failed are recorded in ``failures`` and
-    leave gaps in per_freq and in both H-infinity estimates.
+    leave gaps in per_freq and in both H-infinity estimates. ``sup_err``
+    and ``sup_struct`` are the largest errors of their columns, and
+    ``bound_satisfied`` holds when ||T_yu - T_k|| <= bound + 1e-7 (1 + bound)
+    at every feasible frequency (a NaN error violates no bound).
     """
+
+    COLUMNS = ("omega", "err_yu_hatk", "err_yu_tk", "theorem1_bound", "feasible")
 
     per_freq: tuple
     err_tk: tuple
     bounds: tuple
-    sup_err: float
-    bound_satisfied: bool
     failures: tuple = ()
     err_struct: tuple = ()
-    sup_struct: float = 0.0
     hinf_t_yu: float | None = None
     hinf_t_hat_k: float | None = None
 
-    def __post_init__(self):
-        if self.per_freq:
-            sup = max(err for _, err in self.per_freq)
-            if abs(sup - self.sup_err) > 1e-12 * (1.0 + sup):
-                raise ValueError("sup_err does not match per-frequency errors")
+    @property
+    def sup_err(self):
+        return max(err for _, err in self.per_freq)
+
+    @property
+    def sup_struct(self):
+        return max(self.err_struct, default=0.0)
+
+    @property
+    def bound_satisfied(self):
+        pairs = zip(self.err_tk, self.bounds)
+        return not any(bd is not None and etk > bd + 1e-7 * (1.0 + bd) for etk, bd in pairs)
 
     def rows(self):
-        """Rows (omega, err_yu_hatk, err_yu_tk, theorem1_bound, feasible)."""
-        out = []
-        for (w, err), etk, bd in zip(self.per_freq, self.err_tk, self.bounds):
-            out.append((w, err, etk, np.nan if bd is None else bd, 0 if bd is None else 1))
-        return out
+        """One row per evaluated frequency, in the order of ``COLUMNS``."""
+        return [
+            (w, err, etk, np.nan if bd is None else bd, 0 if bd is None else 1)
+            for (w, err), etk, bd in zip(self.per_freq, self.err_tk, self.bounds)
+        ]
 
 
 def _check_shapes(model, reduced, data, sw):
@@ -292,9 +304,9 @@ def band_error(model, reduced, data, sw, hinf=False):
     grid. At each grid frequency computes ||T_yu - T_hat_k|| and
     ||T_yu - T_k|| (largest singular values), and the truncation bound
     evaluated with the per-frequency constants M1 = ||T_k(jw)||, M2 = max_i |1/g_i(jw)| and
-    the (k+1)-th Laplacian eigenvalue. ``bound_satisfied`` is the
-    conjunction of ||T_yu - T_k|| <= bound + 1e-7 (1 + bound) over feasible
-    frequencies. Frequencies where the loop is near singular or some node
+    the (k+1)-th Laplacian eigenvalue; the report's ``bound_satisfied``
+    checks ||T_yu - T_k|| against that bound at the feasible frequencies.
+    Frequencies where the loop is near singular or some node
     inverse, aggregate or the coupling has a pole are recorded as failures,
     not fatal; NoFrequencyEvaluated is raised when every frequency fails,
     and inputs of different networks raise ModelMismatch.
@@ -367,26 +379,19 @@ def band_error(model, reduced, data, sw, hinf=False):
     m1 = _top_singular(xv)
     err_struct = _top_singular(q_v @ xv @ q_v.T - q_p @ c @ q_p.T).tolist()
     kept = np.flatnonzero(valid)[done]
-    bounds = []
-    bound_ok = True
-    for m1_i, i, etk in zip(m1.tolist(), kept, err_tk):
-        bd = None if lam_next is None else theorem1_bound(m1_i, float(m2[i]), float(abs(f[i])), lam_next)
-        if bd is not None and etk > bd + 1e-7 * (1.0 + bd):
-            bound_ok = False
-        bounds.append(bd)
+    bounds = tuple(
+        None if lam_next is None else theorem1_bound(m1_i, float(m2[i]), float(abs(f[i])), lam_next)
+        for m1_i, i in zip(m1.tolist(), kept)
+    )
     hinf_hat = None
     if hinf:
         hinf_hat = float(_top_singular(root_sizes[:, None] * c * root_sizes).max(initial=0.0))
-    sup_err = max(e for _, e in per_freq)
     return ErrorReport(
         per_freq=tuple(per_freq),
         err_tk=tuple(err_tk),
-        bounds=tuple(bounds),
-        sup_err=sup_err,
-        bound_satisfied=bound_ok,
+        bounds=bounds,
         failures=tuple((float(points[i]), failures[i]) for i in sorted(failures)),
         err_struct=tuple(err_struct),
-        sup_struct=max(err_struct, default=0.0),
         hinf_t_yu=hinf_yu,
         hinf_t_hat_k=hinf_hat,
     )

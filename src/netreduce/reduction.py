@@ -118,7 +118,7 @@ def refine_embedding(data, partition):
     return RefinementResult(s_matrix=s, v_hat=v_hat, objective=objective, degenerate=degenerate)
 
 
-def block_ideal_check(data, partition, tol_factor=1e-8):
+def block_ideal_check(data, partition):
     """Check whether an embedding is exactly block-constant for a partition.
 
     Returns (is_ideal, residual) with residual the Frobenius-norm distance
@@ -127,7 +127,7 @@ def block_ideal_check(data, partition, tol_factor=1e-8):
     res = refine_embedding(data, partition)
     residual = float(np.sqrt(res.objective))
     n = partition.n
-    return residual <= tol_factor * n, residual
+    return residual <= 1e-8 * n, residual
 
 
 def reduced_laplacian(s_matrix, lambda_k):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Diverged, GridMismatch, IllPosed, ImproperTF, ReductionFailed
+from .errors import Diverged, GridMismatch, IllPosed, ReductionFailed
 from .transfer import RationalTF
 
 
@@ -61,8 +61,6 @@ def realize(tf):
     The strictly proper part lands in (A, B, C); the constant part in D.
     A constant gain yields an empty state.
     """
-    if not isinstance(tf, RationalTF):
-        raise ImproperTF("realize expects a RationalTF")
     den = np.asarray(tf.den, dtype=float)  # monic by construction
     num = np.zeros_like(den)
     num[: len(tf.num)] = tf.num
@@ -126,7 +124,7 @@ def close_loop(nodes, coupling, l):
     ``coupling`` the coupling dynamics, ``l`` the Laplacian. Raises IllPosed
     when the feedthrough loop I + D_G D_H is singular.
     """
-    plant = block_diag_nodes(nodes) if not isinstance(nodes, StateSpace) else nodes
+    plant = block_diag_nodes(nodes)
     fb = coupling_block(coupling, l)
     n = plant.c.shape[0]
     w = np.eye(n) + plant.d @ fb.d
@@ -371,12 +369,8 @@ class ComparisonReport:
 def broadcast_outputs(reduced_outputs, partition):
     """Expand k aggregate output columns to n node columns via the partition."""
     y = np.asarray(reduced_outputs, dtype=float)
-    if y.shape[1] == partition.n:
-        return y
     if y.shape[1] != partition.k:
-        raise GridMismatch(
-            f"reduced outputs have {y.shape[1]} columns, expected k={partition.k} or n={partition.n}"
-        )
+        raise GridMismatch(f"reduced outputs have {y.shape[1]} columns, expected k={partition.k}")
     return y[:, partition.assignment]
 
 

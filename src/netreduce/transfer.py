@@ -11,11 +11,12 @@ its one-point call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoleAtS
+from .errors import ImproperTF, NonFinite, PoleAtS
 from .graphs import check_symmetric
 
 _COEF_TOL = 1e-12
@@ -33,9 +34,10 @@ class RationalTF:
     """A proper SISO rational transfer function num(s)/den(s).
 
     Coefficients are real, in ascending powers of ``s``. On construction the
-    denominator is trimmed and normalized to be monic, and properness
-    (deg num <= deg den) is enforced. Two instances compare equal when their
-    canonical coefficients agree within 1e-12.
+    denominator is trimmed and normalized to be monic. An improper function
+    (deg num > deg den) raises ImproperTF, and a NaN or infinite canonical
+    coefficient raises NonFinite; both are ValueErrors. Two instances
+    compare equal when their canonical coefficients agree within 1e-12.
     """
 
     num: tuple
@@ -47,12 +49,14 @@ class RationalTF:
         if not den or all(c == 0.0 for c in den):
             raise ValueError("denominator must have a nonzero coefficient")
         if len(num) > len(den):
-            raise ValueError(
+            raise ImproperTF(
                 f"improper transfer function: deg(num)={len(num) - 1} > deg(den)={len(den) - 1}"
             )
         lead = den[-1]
         num = tuple(c / lead for c in num)
         den = tuple(c / lead for c in den)
+        if not all(map(math.isfinite, num + den)):
+            raise NonFinite(f"transfer function coefficients must be finite: num={num}, den={den}")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -100,6 +100,36 @@ class TestConfig:
             load_config(cfg)
         assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("eta", float("nan")),
+            ("omega_min", float("nan")),
+            ("grid_size", float("inf")),
+            ("grid_size", 2.5),
+            ("restarts", float("inf")),
+            ("restarts", 2.5),
+            ("sim.t_end", float("inf")),
+            ("sim.dt", float("nan")),
+            ("sim.input_node", 1.5),
+            ("nodes.m_range", [float("nan"), 3.0]),
+            ("nodes.d_range", [0.5, float("inf")]),
+            ("coupling", {"num": [float("nan")], "den": [0.0, 1.0]}),
+        ],
+    )
+    def test_non_finite_or_fractional_number_exit_code(self, tmp_path, field, value):
+        doc = base_config()
+        *parents, key = field.split(".")
+        owner = doc
+        for name in parents:
+            owner = owner[name]
+        owner[key] = value
+        cfg = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            load_config(cfg)
+        for command in ("reduce", "evaluate"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
     def test_input_node_outside_network(self, tmp_path):
         doc = base_config(sim={"dt": 1e-3, "t_end": 3.0, "input_node": 80})
         with pytest.raises(ConfigError, match="sim.input_node"):
@@ -421,6 +451,41 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["per_scale"]["1"]["median_concentration"] <= 1e-10
+
+
+def small_run_config(tmp_path):
+    doc = base_config(
+        grid_size=10, seeds=[0, 1], restarts=5, sim={"dt": 1e-3, "t_end": 0.5, "input_node": 1}
+    )
+    return write_config(tmp_path, doc)
+
+
+@pytest.mark.parametrize("command", ["generate", "reduce", "evaluate", "simulate", "experiment"])
+def test_manifest_lists_the_files_written(tmp_path, command):
+    cfg, out = small_run_config(tmp_path), tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert len(set(files)) == len(files)
+    assert sorted(files) == sorted(set(os.listdir(out)) - {"manifest.json"})
+    # in write order: no file was last written after the one listed next
+    mtimes = [os.stat(out / name).st_mtime_ns for name in files]
+    assert mtimes == sorted(mtimes)
+
+
+def test_only_reduce_builds_the_reduced_model_document(tmp_path, monkeypatch):
+    calls = []
+    to_dict = netreduce.reduction.ReducedModel.to_dict
+
+    def counting_to_dict(self):
+        calls.append(self.k)
+        return to_dict(self)
+
+    monkeypatch.setattr(netreduce.reduction.ReducedModel, "to_dict", counting_to_dict)
+    cfg = small_run_config(tmp_path)
+    for command in ("evaluate", "simulate", "experiment", "reduce"):
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfg, "--out", out, "--jobs", "1"]) == 0
+    assert calls == [3, 3]  # the two seeds of reduce
 
 
 # run in a fresh interpreter, since this test process may have loaded scipy

@@ -113,13 +113,10 @@ class TestCloseLoop:
             assert np.abs(resp - oracle).max() <= 1e-7 * np.abs(oracle).max()
 
     def test_algebraic_loop_detected(self):
-        # unit-gain plant with unit-gain coupling and L = -I... not a valid
+        # unit-gain nodes with unit-gain coupling and L = -I... not a valid
         # Laplacian, so drive the feedthrough singularity directly
-        plant = StateSpace(
-            a=np.zeros((0, 0)), b=np.zeros((0, 2)), c=np.zeros((2, 0)), d=np.eye(2)
-        )
         with pytest.raises(IllPosed):
-            close_loop(plant, UNIT_GAIN, -np.eye(2))
+            close_loop([UNIT_GAIN, UNIT_GAIN], UNIT_GAIN, -np.eye(2))
 
 
 class TestStepResponse:
@@ -454,12 +451,13 @@ class TestRealizeReduced:
 
 class TestCompareResponses:
     def test_self_comparison_is_zero(self, eq15_params):
+        # full outputs constant over each group equal their broadcast aggregates
         model, _ = make_swing_model(eq15_params, seed=0)
         reduced = run_algorithm_1(model, 3, seed=0)
         times = np.arange(11) * 0.1
-        outputs = np.random.default_rng(0).standard_normal((11, model.n))
-        full = SimResult(times=times, outputs=outputs)
-        same = SimResult(times=times, outputs=outputs[:, :].copy())
+        groups = np.random.default_rng(0).standard_normal((11, reduced.k))
+        full = SimResult(times=times, outputs=groups[:, reduced.partition.assignment])
+        same = SimResult(times=times, outputs=groups)
         report = compare_responses(full, same, reduced.partition)
         np.testing.assert_allclose(report.per_node, 0.0)
         np.testing.assert_allclose(report.per_group, 0.0)
@@ -509,5 +507,6 @@ class TestCompareResponses:
         y = np.zeros((7, 3))
         wide = broadcast_outputs(y, reduced.partition)
         assert wide.shape == (7, model.n)
-        with pytest.raises(GridMismatch):
-            broadcast_outputs(np.zeros((7, 5)), reduced.partition)
+        for width in (5, model.n):
+            with pytest.raises(GridMismatch):
+                broadcast_outputs(np.zeros((7, width)), reduced.partition)

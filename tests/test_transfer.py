@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from netreduce import (
     CouplingVanishes,
     FreqGrid,
+    ImproperTF,
     NetworkModel,
     NonFinite,
     NotPassiveOnGrid,
@@ -43,8 +44,18 @@ class TestRationalTF:
         assert RationalTF((1.0,), (1.0 + 1e-9, 1.0)) != RationalTF((1.0,), (1.0, 1.0))
 
     def test_improper_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ImproperTF) as info:
             RationalTF((1.0, 2.0), (1.0,))
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "num,den",
+        [((float("nan"),), (0.0, 1.0)), ((1.0,), (float("inf"), 1.0)), ((1.0,), (1.0, 1e-320))],
+    )
+    def test_non_finite_coefficients_rejected(self, num, den):
+        # the last denominator overflows when it is made monic
+        with pytest.raises(NonFinite):
+            RationalTF(num, den)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):

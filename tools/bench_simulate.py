@@ -102,12 +102,18 @@ def measure():
     return {"times": times, "thread_env": {v: os.environ.get(v) for v in THREAD_VARS}}
 
 
-def _child(script, src):
+def child_env(src):
+    """Environment of a child that imports ``netreduce`` from ``src``, with the
+    package's default thread settings (no BLAS thread variable)."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = os.path.abspath(src)
+    return env
+
+
+def _child(script, src):
     out = subprocess.run(
         [sys.executable, os.path.abspath(script), "--measure"],
-        env=env, cwd=ROOT, check=True, capture_output=True, text=True,
+        env=child_env(src), cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -173,12 +179,10 @@ def compare(script, before, repeats):
 def _tier1(src):
     """Wall time and summary line of the tier-1 suite of the tree that holds ``src``."""
     tree = os.path.dirname(os.path.abspath(src))
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["PYTHONPATH"] = os.path.abspath(src)
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
-        env=env, cwd=tree, capture_output=True, text=True,
+        env=child_env(src), cwd=tree, capture_output=True, text=True,
     )
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()

@@ -1,0 +1,117 @@
+"""Check that two source trees write byte-identical CLI outputs.
+
+Usage (from the repository root):
+
+    python tools/same_outputs.py --before OTHER/src
+
+Runs one set of CLI commands with the ``netreduce`` of ``--before`` (a
+source tree of another commit) and with this repository's ``src``, each
+command in a fresh interpreter that writes to its own temporary directory,
+and compares the two output trees file by file:
+
+- all five commands on ``configs/three_group.json`` trimmed to seeds
+  [0, 1], scales [1], 20 grid points and ``sim.t_end`` 2;
+- ``experiment`` on that config with k = 200, where every cell fails with
+  ``KTooLarge``;
+- ``evaluate``, ``simulate`` and ``experiment --jobs 2`` on the configs of
+  the ``evaluate-band``, ``simulate-step`` and ``experiment-pool``
+  workloads of ``perfbench/workloads.py`` at benchmark seed 7.
+
+Every file that differs or exists on one side only is listed, and so is a
+command whose exit code differs; the exit status is 1 if there is any. The
+temporary directories are deleted.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+from bench_simulate import ROOT, child_env
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+BENCH_SEED = 7
+
+
+def runs():
+    """(name, config document, command, jobs) of every run."""
+    with open(os.path.join(ROOT, "configs", "three_group.json")) as fh:
+        base = json.load(fh)
+    base.update(seeds=[0, 1], scales=[1], grid_size=20)
+    base["sim"] = dict(base["sim"], t_end=2.0)
+    commands = ("generate", "reduce", "evaluate", "simulate", "experiment")
+    out = [(f"three_group-{cmd}", base, cmd, 1) for cmd in commands]
+    out.append(("three_group-k200-experiment", dict(base, k=200), "experiment", 1))
+    for name in ("evaluate-band", "simulate-step", "experiment-pool"):
+        w = WORKLOADS[name]
+        out.append((name, w.make_config(BENCH_SEED), w.command, w.jobs))
+    return out
+
+
+def run_all(src, work, plan):
+    """Run every command of ``plan`` against ``src``; returns {run name: exit code}."""
+    codes = {}
+    for name, config_path, command, jobs in plan:
+        args = [command, "--config", config_path, "--out", os.path.join(work, name)]
+        if jobs:
+            args += ["--jobs", str(jobs)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "netreduce.cli", *args],
+            env=child_env(src), cwd=work, capture_output=True, text=True,
+        )
+        codes[name] = proc.returncode
+        print(f"# {os.path.basename(work)} {name}: exit {proc.returncode}", file=sys.stderr)
+    return codes
+
+
+def tree_files(root):
+    """Relative paths of the files under ``root``."""
+    return {
+        os.path.relpath(os.path.join(d, f), root) for d, _, files in os.walk(root) for f in files
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--before", required=True, help="src directory of the tree to compare against")
+    args = ap.parse_args(argv)
+
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = []
+        for name, doc, command, jobs in runs():
+            config_path = os.path.join(tmp, f"{name}.json")
+            with open(config_path, "w") as fh:
+                json.dump(doc, fh)
+            plan.append((name, config_path, command, jobs))
+        before, after = os.path.join(tmp, "before"), os.path.join(tmp, "after")
+        codes = {}
+        for work, src in ((before, args.before), (after, os.path.join(ROOT, "src"))):
+            os.mkdir(work)
+            codes[work] = run_all(src, work, plan)
+        for name, code in codes[before].items():
+            if code != codes[after][name]:
+                differ.append(f"{name}: exit code {code} -> {codes[after][name]}")
+        names = tree_files(before) | tree_files(after)
+        for rel in sorted(names):
+            a, b = os.path.join(before, rel), os.path.join(after, rel)
+            if not (os.path.isfile(a) and os.path.isfile(b)):
+                differ.append(f"{rel}: only {'before' if os.path.isfile(a) else 'after'}")
+            elif not filecmp.cmp(a, b, shallow=False):
+                differ.append(f"{rel}: bytes differ")
+
+    for line in differ:
+        print(line)
+    print(f"{len(plan)} runs, {len(names)} files, {len(differ)} differences")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
