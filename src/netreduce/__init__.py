@@ -46,11 +46,13 @@ from .errors import (
     TiedSpectrumWarning,
 )
 from .evaluation import (
+    BandSuprema,
     ErrorReport,
     FreqGrid,
     PassivityReport,
     Sweep,
     band_error,
+    band_suprema,
     eval_t_hat_k,
     eval_t_k,
     eval_t_yu,

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import build_model, load_config
 from .errors import ConfigError, NetreduceError
-from .evaluation import FreqGrid, band_error, passivity_check, sweep
+from .evaluation import FreqGrid, band_error, band_suprema, passivity_check, sweep
 from .graphs import expected_laplacian, laplacian, sample_adjacency
 from .io import config_hash, dump_json, write_matrix_csv, write_table_csv
 from .reduction import run_algorithm_1
@@ -111,7 +111,7 @@ def cmd_evaluate(config, out_dir):
     for seed in config.seeds:
         model, _, _, reduced, found = _reduce_one(config, seed)
         sw = sweep(model, grid)
-        report = band_error(model, reduced, reduced.spectral, sw, hinf=True)
+        report = band_error(model, reduced, reduced.spectral, sw)
         write_table_csv(out.path(f"band_seed{seed}.csv"), report.COLUMNS, report.rows())
         passivity = passivity_check(sw)
         summary["per_seed"][str(seed)] = {
@@ -175,7 +175,7 @@ def _experiment_cell(args):
     config, scale, seed = args
     try:
         model, params, _, reduced, found = _reduce_one(config, seed, scale)
-        report = band_error(model, reduced, reduced.spectral, sweep(model, _grid(config)))
+        report = band_suprema(model, reduced, reduced.spectral, sweep(model, _grid(config)))
         l_blk, _ = expected_laplacian(params)
         conc = float(np.abs(np.linalg.eigvalsh(model.laplacian - l_blk)).max())
         return {

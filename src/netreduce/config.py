@@ -74,6 +74,19 @@ def _require(d, key, path):
     return d[key]
 
 
+def _section(d, key, default=None):
+    # a top-level object such as "nodes" or "sim"; its fields are looked up by name
+    v = _require(d, key, "") if default is None else d.get(key, default)
+    if not isinstance(v, dict):
+        raise ConfigError(f"config field '{key}': expected an object")
+    return v
+
+
+def _is_int(v):
+    # a JSON integer; true and false are bools, which Python counts as ints
+    return type(v) is int
+
+
 def _finite(v):
     # json reads NaN and Infinity; both fail the comparison, as do ints beyond float
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
@@ -85,7 +98,7 @@ def _number(d, key, path, default=None, minimum=None, integer=False):
             raise ConfigError(f"config field '{path}{key}': missing")
         return default
     v = d[key]
-    if integer and type(v) is not int:
+    if integer and not _is_int(v):
         raise ConfigError(f"config field '{path}{key}': expected an integer")
     if not _finite(v):
         raise ConfigError(f"config field '{path}{key}': expected a finite number")
@@ -111,14 +124,20 @@ def config_from_dict(doc):
     except Exception as exc:
         raise ConfigError(f"config field 'wsbm': {exc}") from exc
 
-    nodes_doc = _require(doc, "nodes", "")
+    nodes_doc = _section(doc, "nodes")
     preset = _require(nodes_doc, "preset", "nodes.")
     if preset == "swing":
         nodes = {"preset": "swing"}
         for rng_key, default in (("m_range", [1.0, 3.0]), ("d_range", [0.5, 1.5])):
-            lohi = nodes[rng_key] = list(nodes_doc.get(rng_key, default))
-            if len(lohi) != 2 or not all(map(_finite, lohi)) or not 0 < lohi[0] <= lohi[1]:
+            lohi = nodes_doc.get(rng_key, default)
+            if (
+                not isinstance(lohi, list)
+                or len(lohi) != 2
+                or not all(map(_finite, lohi))
+                or not 0 < lohi[0] <= lohi[1]
+            ):
                 raise ConfigError(f"config field 'nodes.{rng_key}': need finite 0 < lo <= hi")
+            nodes[rng_key] = list(lohi)
     elif preset == "explicit":
         tfs = _require(nodes_doc, "tfs", "nodes.")
         try:
@@ -141,7 +160,7 @@ def config_from_dict(doc):
         raise ConfigError(f"config field 'coupling': {exc}") from exc
 
     k = _require(doc, "k", "")
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ConfigError("config field 'k': expected a positive integer")
 
     eta = _number(doc, "eta", "", minimum=1e-12)
@@ -151,11 +170,11 @@ def config_from_dict(doc):
     grid_size = _number(doc, "grid_size", "", default=200, minimum=2, integer=True)
 
     seeds = doc.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(map(_is_int, seeds)):
         raise ConfigError("config field 'seeds': expected a nonempty list of integers")
     scales = doc.get("scales", [1])
     if not isinstance(scales, list) or not scales or any(
-        not isinstance(s, int) or s < 1 for s in scales
+        not _is_int(s) or s < 1 for s in scales
     ):
         raise ConfigError("config field 'scales': expected a nonempty list of positive integers")
     if preset == "explicit" and scales != [1]:
@@ -163,7 +182,7 @@ def config_from_dict(doc):
 
     restarts = _number(doc, "restarts", "", default=50, minimum=1, integer=True)
 
-    sim_doc = doc.get("sim", {})
+    sim_doc = _section(doc, "sim", {})
     sim = SimSettings(
         dt=_number(sim_doc, "dt", "sim.", default=1e-3, minimum=1e-9),
         t_end=_number(sim_doc, "t_end", "sim.", default=30.0, minimum=1e-9),

@@ -9,12 +9,20 @@ group, (sum_{i in I_j} 1/g_i)^-1, is summed from the sweep's G^-1 columns.
 Spectral norms are largest singular values from SVDs: dense n x n ones for
 the differences against T_yu and for ||T_yu|| itself, and small ones (k x k
 or at most 2k x 2k) for every quantity whose rows and columns lie in a
-known low-dimensional subspace. ``band_error`` forms the k x k cores and
-the small SVDs once per grid, stacked over the frequencies; the one-point
-functions call the same helpers with a stack of one.
+known low-dimensional subspace. One per-frequency pass over the grid
+(``_BandPass``) forms the k x k cores and the small SVDs once, stacked over
+the frequencies, and inverts the loop matrix at each frequency; the
+one-point functions call the same helpers with a stack of one.
 
-An :class:`ErrorReport` stores each band quantity once, as a column over the
-frequencies; its suprema and bound verdict are read off those columns.
+Two readers take that pass. ``band_error`` builds the band table: an
+:class:`ErrorReport` stores each quantity once, as a column over the
+frequencies, and its suprema and bound verdict are read off those columns;
+it pays two dense SVDs per frequency. ``band_suprema`` keeps only the
+supremum and the verdict. Both take a maximum over the frequencies by
+pruning: the O(n^2) Frobenius norm bounds each spectral norm, so a dense SVD
+runs only where the bound says the frequency can still decide the result,
+usually at 1 or 2 frequencies of a grid. The pruned values equal the
+maxima over every frequency's SVD bit for bit.
 """
 
 from __future__ import annotations
@@ -238,6 +246,52 @@ def _top_singular(stack):
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
+def _pad(m):
+    # the factor that makes a computed bound of ||m||_2 a bound of its computed
+    # SVD value: it covers the rounding of a sum of m.size terms (at most
+    # m.size u relative, u = 2^-53) and the SVD's backward error (1e-10)
+    return 1.0 + 1e-10 + m.size * 2.0**-53
+
+
+def _fro_bound(m):
+    # ||m||_2 <= ||m||_F, from one dot product over the raveled matrix, with no
+    # n x n temporary; tight where one singular value dominates
+    return _pad(m) * float(np.sqrt(np.vdot(m, m).real))
+
+
+def _norm_bound(m):
+    # the smaller of _fro_bound and sqrt(||m||_1 ||m||_inf) >= ||m||_2; the
+    # second stays within a small factor of ||m||_2 where many alike singular
+    # values make ||m||_F about sqrt(n) times larger (T_yu - T_k on eq15:
+    # ||m||_F 3.6x and 11.5x ||m||_2 at n = 80 and 320, the second 1.9x, 2.2x)
+    a = np.abs(m)
+    holder = _pad(m) * float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
+    return min(_fro_bound(m), holder)
+
+
+def _pruned_max(bounds, norm):
+    """``max(norm(j) for j in range(len(bounds)))``, calling ``norm`` only where it can win.
+
+    ``bounds[j]`` bounds the computed ``norm(j)`` from above. Candidates run
+    in descending bound order and stop once the next bound lies below the
+    largest norm found, so every skipped candidate provably loses; a NaN
+    bound is never skipped.
+    """
+    b = np.array(bounds, dtype=float)
+    b[np.isnan(b)] = np.inf
+    best = -np.inf
+    for j in np.argsort(-b, kind="stable").tolist():
+        if b[j] < best:
+            break
+        best = max(best, norm(j))
+    return best
+
+
+def _tolerance(bound):
+    # the slack of the bound check: ||T_yu - T_k|| <= bound + 1e-7 (1 + bound)
+    return bound + 1e-7 * (1.0 + bound)
+
+
 @dataclass(frozen=True, eq=False)
 class ErrorReport:
     """Per-frequency approximation errors over a band.
@@ -248,13 +302,13 @@ class ErrorReport:
     ``bounds`` the per-frequency truncation bound (None where its
     precondition fails). ``hinf_t_yu`` and ``hinf_t_hat_k`` are grid
     estimates of the H-infinity norms of T_yu and T_hat_k (the largest
-    spectral norm over the grid), or None when they were not requested;
-    sampling estimates never exceed the true norm of a stable system.
-    Frequencies whose evaluation failed are recorded in ``failures`` and
-    leave gaps in per_freq and in both H-infinity estimates. ``sup_err``
-    and ``sup_struct`` are the largest errors of their columns, and
-    ``bound_satisfied`` holds when ||T_yu - T_k|| <= bound + 1e-7 (1 + bound)
-    at every feasible frequency (a NaN error violates no bound).
+    spectral norm over the grid); sampling estimates never exceed the true
+    norm of a stable system. Frequencies whose evaluation failed are
+    recorded in ``failures`` and leave gaps in per_freq and in both
+    H-infinity estimates. ``sup_err`` and ``sup_struct`` are the largest
+    errors of their columns, and ``bound_satisfied`` holds when
+    ||T_yu - T_k|| <= bound + 1e-7 (1 + bound) at every feasible frequency
+    (a NaN error violates no bound).
     """
 
     COLUMNS = ("omega", "err_yu_hatk", "err_yu_tk", "theorem1_bound", "feasible")
@@ -262,10 +316,10 @@ class ErrorReport:
     per_freq: tuple
     err_tk: tuple
     bounds: tuple
+    hinf_t_yu: float
+    hinf_t_hat_k: float
     failures: tuple = ()
     err_struct: tuple = ()
-    hinf_t_yu: float | None = None
-    hinf_t_hat_k: float | None = None
 
     @property
     def sup_err(self):
@@ -278,7 +332,7 @@ class ErrorReport:
     @property
     def bound_satisfied(self):
         pairs = zip(self.err_tk, self.bounds)
-        return not any(bd is not None and etk > bd + 1e-7 * (1.0 + bd) for etk, bd in pairs)
+        return not any(bd is not None and etk > _tolerance(bd) for etk, bd in pairs)
 
     def rows(self):
         """One row per evaluated frequency, in the order of ``COLUMNS``."""
@@ -286,6 +340,15 @@ class ErrorReport:
             (w, err, etk, np.nan if bd is None else bd, 0 if bd is None else 1)
             for (w, err), etk, bd in zip(self.per_freq, self.err_tk, self.bounds)
         ]
+
+
+@dataclass(frozen=True, eq=False)
+class BandSuprema:
+    """``sup_err``, ``bound_satisfied`` and ``failures`` of a band, as :class:`ErrorReport` has them."""
+
+    sup_err: float
+    bound_satisfied: bool
+    failures: tuple = ()
 
 
 def _check_shapes(model, reduced, data, sw):
@@ -297,7 +360,83 @@ def _check_shapes(model, reduced, data, sw):
         raise ModelMismatch(f"reduced model has k={reduced.k}, eigendata k={data.k}")
 
 
-def band_error(model, reduced, data, sw, hinf=False):
+class _BandPass:
+    """The per-frequency pass of a band: T_yu, T_k and T_hat_k, and the gaps.
+
+    The k x k algebra runs once, stacked over the grid points without a pole:
+    the rank-k cores X = (V_k^T G^-1 V_k + f Lambda_k)^-1 V_k^T and the reduced
+    cores C take one stacked solve each. Position j counts those points;
+    ``index[j]`` is its grid index. ``inverses()`` walks them in grid order,
+    inverts each loop matrix and yields (j, T_yu) at every point it
+    evaluates, appending j to ``done``; a near-singular loop or a singular
+    core makes a gap instead, and NoFrequencyEvaluated ends a pass without
+    one evaluated point. ``t_k(j)`` = V_k X and ``t_hat(j)`` =
+    C[assignment][:, assignment] are formed on request, and ``t_yu(j)``
+    inverts the loop at j again, bit-equal, so that no n x n matrix is kept
+    per frequency. ``finish()`` then sets ``xv`` = X V_k at the ``done``
+    positions, their Theorem-1 ``bounds`` and the (omega, message)
+    ``failures`` in grid order.
+    """
+
+    def __init__(self, model, reduced, data, sw):
+        _check_shapes(model, reduced, data, sw)
+        self.model, self.data, self.sw = model, data, sw
+        self.assign = reduced.partition.assignment
+        ghat, agg_pole = _aggregates(sw, reduced.partition)
+        self.gaps = dict(sw.gaps)  # grid index -> message
+        for i in np.flatnonzero(agg_pole & ~sw.inverse_pole).tolist():
+            self.gaps[i] = f"aggregate has a pole at s={sw.s[i]}"
+        valid = ~(agg_pole | sw.coupling_pole)
+        self.index = np.flatnonzero(valid)
+        self.x, self.k_singular = _rank_k_cores(data, sw.ginv[valid], sw.f[valid])
+        self.c, self.hat_singular = _reduced_cores(reduced, ghat[valid], sw.f[valid])
+        self.done = []
+
+    def t_yu(self, j):
+        i = self.index[j]
+        return _loop_inverse(self.model, self.sw.s[i], self.sw.ginv[i], self.sw.f[i])
+
+    def t_k(self, j):
+        return self.data.v_k @ self.x[j]
+
+    def t_hat(self, j):
+        return self.c[j][self.assign][:, self.assign]
+
+    def inverses(self):
+        for j, i in enumerate(self.index.tolist()):
+            s = self.sw.s[i]
+            try:
+                t_yu = self.t_yu(j)
+                if self.k_singular[j]:
+                    raise NearSingular(f"rank-k core singular at s={s}")
+                if self.hat_singular[j]:
+                    raise NearSingular(f"reduced loop singular at s={s}")
+            except NetreduceError as exc:  # recorded as a gap
+                self.gaps[i] = str(exc)
+                continue
+            self.done.append(j)
+            yield j, t_yu
+        if not self.done:
+            first = min(self.gaps)
+            raise NoFrequencyEvaluated(
+                f"all {len(self.gaps)} grid frequencies failed; first at "
+                f"omega={self.sw.grid.points[first]:g}: {self.gaps[first]}"
+            )
+
+    def finish(self):
+        points = np.asarray(self.sw.grid.points, dtype=float)
+        self.xv = self.x[self.done] @ self.data.v_k
+        m1 = _top_singular(self.xv)
+        m2 = np.abs(self.sw.ginv).max(axis=1)
+        f, lam_next = self.sw.f, self.data.lambda_next
+        self.bounds = tuple(
+            None if lam_next is None else theorem1_bound(m1_i, float(m2[i]), float(abs(f[i])), lam_next)
+            for m1_i, i in zip(m1.tolist(), self.index[self.done].tolist())
+        )
+        self.failures = tuple((float(points[i]), self.gaps[i]) for i in sorted(self.gaps))
+
+
+def band_error(model, reduced, data, sw):
     """Frequency-band error report between the full and reduced networks.
 
     Reads the model's dynamics from ``sw``, its :func:`sweep` over the
@@ -311,89 +450,80 @@ def band_error(model, reduced, data, sw, hinf=False):
     not fatal; NoFrequencyEvaluated is raised when every frequency fails,
     and inputs of different networks raise ModelMismatch.
 
-    The aggregates are summed from the sweep's G^-1 columns, and the k x k
-    algebra runs once per grid, stacked over the frequencies without a pole:
-    the rank-k cores X = (V_k^T G^-1 V_k + f Lambda_k)^-1 V_k^T and the reduced
-    cores C take one stacked solve each, and a frequency where one of them
-    is singular becomes a gap. Only the n x n work runs per frequency: the
-    loop inverse T_yu, T_k = V_k X, T_hat_k = C[assignment][:, assignment]
-    and the two dense SVDs of the differences against T_yu. The other norms
-    are exact but small: ||T_k|| = ||X V_k|| because V_k is orthonormal;
-    ||T_hat_k|| = ||D C D|| with D = diag(sqrt(n_i)), because the block
-    indicator P is an orthonormal matrix times D; and ||T_k - T_hat_k|| =
-    ||Q^T (T_k - T_hat_k) Q|| with Q an orthonormal basis of [V_k | P],
-    which holds the rows and columns of both terms. These are stacked SVDs
-    of at most 2k x 2k matrices. ``hinf_t_yu`` and ``hinf_t_hat_k`` are
-    filled only when ``hinf`` is true: ||T_yu|| is a third dense SVD per
-    frequency.
+    The per-frequency pass is :class:`_BandPass`. The dense n x n SVDs are
+    those of the two differences against T_yu, two per frequency, and those
+    of T_yu at the few frequencies that can hold ``hinf_t_yu``: ||T_yu||_F
+    bounds ||T_yu||, and the frequencies are tried in descending order of
+    that bound until the next bound lies below the largest norm found
+    (:func:`_pruned_max`), which gives the grid maximum bit for bit. The
+    other norms are exact but small: ||T_k|| = ||X V_k|| because V_k is
+    orthonormal; ||T_hat_k|| = ||D C D|| with D = diag(sqrt(n_i)), because
+    the block indicator P is an orthonormal matrix times D; and
+    ||T_k - T_hat_k|| = ||Q^T (T_k - T_hat_k) Q|| with Q an orthonormal basis
+    of [V_k | P], which holds the rows and columns of both terms. These are
+    stacked SVDs of at most 2k x 2k matrices.
     """
-    _check_shapes(model, reduced, data, sw)
-    lam_next = data.lambda_next
-    v = data.v_k
-    assign = reduced.partition.assignment
-    root_sizes = np.sqrt(reduced.partition.sizes)
-    p = np.eye(reduced.k)[assign]
-    q = np.linalg.qr(np.hstack([v, p]))[0]
-    q_v, q_p = q.T @ v, q.T @ p
+    band = _BandPass(model, reduced, data, sw)
     points = np.asarray(sw.grid.points, dtype=float)
-    ginv, f = sw.ginv, sw.f
-    m2 = np.abs(ginv).max(axis=1)
-    ghat, agg_pole = _aggregates(sw, reduced.partition)
+    per_freq, err_tk, bound_yu = [], [], []
+    for j, t_yu in band.inverses():
+        per_freq.append((float(points[band.index[j]]), spectral_norm(t_yu - band.t_hat(j))))
+        err_tk.append(spectral_norm(t_yu - band.t_k(j)))
+        bound_yu.append(_fro_bound(t_yu))
+    # the candidates are inverted again before anything else is allocated:
+    # in the other order the evaluate process peaked 0.45 MB higher at n = 160
+    hinf_yu = _pruned_max(bound_yu, lambda d: spectral_norm(band.t_yu(band.done[d])))
+    band.finish()
 
-    failures = dict(sw.gaps)  # grid index -> message
-    for i in np.flatnonzero(agg_pole & ~sw.inverse_pole).tolist():
-        failures[i] = f"aggregate has a pole at s={sw.s[i]}"
-    valid = ~(agg_pole | sw.coupling_pole)
-    x, k_singular = _rank_k_cores(data, ginv[valid], f[valid])
-    c, hat_singular = _reduced_cores(reduced, ghat[valid], f[valid])
-
-    done = []  # positions among the valid points, in grid order
-    per_freq = []
-    err_tk = []
-    hinf_yu = 0.0 if hinf else None
-    for j, i in enumerate(np.flatnonzero(valid)):
-        w, s = points[i], sw.s[i]
-        try:
-            t_yu = _loop_inverse(model, s, ginv[i], f[i])
-            if k_singular[j]:
-                raise NearSingular(f"rank-k core singular at s={s}")
-            if hat_singular[j]:
-                raise NearSingular(f"reduced loop singular at s={s}")
-        except NetreduceError as exc:  # recorded as a gap
-            failures[i] = str(exc)
-            continue
-        done.append(j)
-        per_freq.append((float(w), spectral_norm(t_yu - c[j][assign][:, assign])))
-        err_tk.append(spectral_norm(t_yu - v @ x[j]))
-        if hinf:
-            hinf_yu = max(hinf_yu, spectral_norm(t_yu))
-    if not per_freq:
-        first = min(failures)
-        raise NoFrequencyEvaluated(
-            f"all {len(failures)} grid frequencies failed; first at omega={points[first]:g}: "
-            f"{failures[first]}"
-        )
-
-    x, c = x[done], c[done]
-    xv = x @ v
-    m1 = _top_singular(xv)
-    err_struct = _top_singular(q_v @ xv @ q_v.T - q_p @ c @ q_p.T).tolist()
-    kept = np.flatnonzero(valid)[done]
-    bounds = tuple(
-        None if lam_next is None else theorem1_bound(m1_i, float(m2[i]), float(abs(f[i])), lam_next)
-        for m1_i, i in zip(m1.tolist(), kept)
-    )
-    hinf_hat = None
-    if hinf:
-        hinf_hat = float(_top_singular(root_sizes[:, None] * c * root_sizes).max(initial=0.0))
+    p = np.eye(reduced.k)[band.assign]
+    q = np.linalg.qr(np.hstack([data.v_k, p]))[0]
+    q_v, q_p = q.T @ data.v_k, q.T @ p
+    c = band.c[band.done]
+    root_sizes = np.sqrt(reduced.partition.sizes)
     return ErrorReport(
         per_freq=tuple(per_freq),
         err_tk=tuple(err_tk),
-        bounds=bounds,
-        failures=tuple((float(points[i]), failures[i]) for i in sorted(failures)),
-        err_struct=tuple(err_struct),
+        bounds=band.bounds,
         hinf_t_yu=hinf_yu,
-        hinf_t_hat_k=hinf_hat,
+        hinf_t_hat_k=float(_top_singular(root_sizes[:, None] * c * root_sizes).max()),
+        failures=band.failures,
+        err_struct=tuple(_top_singular(q_v @ band.xv @ q_v.T - q_p @ c @ q_p.T).tolist()),
+    )
+
+
+def band_suprema(model, reduced, data, sw):
+    """``sup_err`` and ``bound_satisfied`` of :func:`band_error`, bit for bit, from few dense SVDs.
+
+    The same per-frequency pass (:class:`_BandPass`) keeps only O(n^2) upper
+    bounds of the spectral norms of T_yu - T_hat_k (:func:`_fro_bound`) and
+    T_yu - T_k (:func:`_norm_bound`). ``sup_err`` takes the dense SVD only at
+    the frequencies :func:`_pruned_max` cannot rule out. A feasible frequency whose upper
+    bound already meets the Theorem-1 tolerance passes without an SVD;
+    every other feasible frequency is checked with the exact norm. Each SVD
+    that runs sees the array ``band_error`` forms, so both values equal its
+    own. Gaps and errors are those of ``band_error``.
+    """
+    band = _BandPass(model, reduced, data, sw)
+    bound_hat, bound_tk = [], []
+    for j, t_yu in band.inverses():
+        bound_hat.append(_fro_bound(t_yu - band.t_hat(j)))
+        bound_tk.append(_norm_bound(t_yu - band.t_k(j)))
+    band.finish()
+
+    def err_hat(d):
+        j = band.done[d]
+        return spectral_norm(band.t_yu(j) - band.t_hat(j))
+
+    def err_tk(d):
+        j = band.done[d]
+        return spectral_norm(band.t_yu(j) - band.t_k(j))
+
+    holds = all(
+        bd is None or ub <= _tolerance(bd) or not err_tk(d) > _tolerance(bd)
+        for d, (ub, bd) in enumerate(zip(bound_tk, band.bounds))
+    )
+    return BandSuprema(
+        sup_err=_pruned_max(bound_hat, err_hat), bound_satisfied=holds, failures=band.failures
     )
 
 

@@ -16,6 +16,7 @@ from netreduce import (
     Partition,
     WsbmParams,
     band_error,
+    band_suprema,
     block_spectrum_oracle,
     bottom_k_eig,
     cluster_embedding,
@@ -206,28 +207,25 @@ class TestCriterion5:
         for seed in range(20):
             model, gamma = make_swing_model(eq15_params, seed)
             reduced = run_algorithm_1(model, 3, seed=seed)
-            report = band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=True)
+            report = band_error(model, reduced, reduced.spectral, sweep(model, grid))
             h_full, h_red = report.hinf_t_yu, report.hinf_t_hat_k
             worst_ratio = max(worst_ratio, h_full / gamma, h_red / gamma)
         ok = worst_ratio <= 1 + 1e-6
         assert _report(5, ok, f"max Hinf/gamma ratio {worst_ratio:.6f} over 20 instances")
 
 
-def _sup_error(model, reduced, grid_pts):
-    sup = 0.0
-    for w in grid_pts:
-        s = 1j * w
-        t_yu = eval_t_yu(model, s)
-        t_hat = eval_t_hat_k(model, reduced, s)
-        sup = max(sup, spectral_norm(t_yu - t_hat))
-    return sup
+def _sup_error(model, reduced, grid):
+    # max ||T_yu - T_hat_k|| over the grid, every frequency evaluated
+    result = band_suprema(model, reduced, reduced.spectral, sweep(model, grid))
+    assert result.failures == ()
+    return result.sup_err
 
 
 class TestCriterion6:
     def test_error_decreases_with_network_size(self, eq15_params):
         # 48-point grid: the supremum is over a fixed grid, and the trend
         # across sizes is insensitive to the grid density
-        grid_pts = log_grid(1e-3, 10.0, 48)
+        grid = FreqGrid.default(eta=10.0, omega_min=1e-3, n_points=48)
         medians = []
         recovery = []
         for scale in (1, 2, 4):
@@ -242,7 +240,7 @@ class TestCriterion6:
                 runs += 1
                 if reduced.partition.same_blocks(true_part):
                     hits += 1
-                sups.append(_sup_error(model, reduced, grid_pts))
+                sups.append(_sup_error(model, reduced, grid))
             medians.append(float(np.median(sups)))
             recovery.append(hits / runs)
         decreasing = medians[0] > medians[1] > medians[2]

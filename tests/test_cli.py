@@ -130,6 +130,32 @@ class TestConfig:
         for command in ("reduce", "evaluate"):
             assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("nodes", 5),
+            ("sim", 5),
+            ("nodes.m_range", 5),
+            ("nodes.d_range", 5),
+            ("k", True),
+            ("seeds", [True]),
+            ("scales", [True]),
+        ],
+    )
+    def test_wrong_json_type_exit_code(self, tmp_path, field, value):
+        # a section that is no object, a range that is no list, and a bool
+        # where an integer belongs are config errors naming the field
+        doc = base_config()
+        *parents, key = field.split(".")
+        owner = doc
+        for name in parents:
+            owner = owner[name]
+        owner[key] = value
+        cfg = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            load_config(cfg)
+        assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
     def test_input_node_outside_network(self, tmp_path):
         doc = base_config(sim={"dt": 1e-3, "t_end": 3.0, "input_node": 80})
         with pytest.raises(ConfigError, match="sim.input_node"):

@@ -2,13 +2,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netreduce import (
     FreqGrid,
     NetworkModel,
     RationalTF,
     SpectralData,
+    WsbmParams,
     band_error,
+    band_suprema,
     bottom_k_eig,
     eval_t_hat_k,
     eval_t_k,
@@ -16,6 +20,7 @@ from netreduce import (
     expected_laplacian,
     first_order_swing,
     laplacian,
+    log_grid,
     passivity_check,
     run_algorithm_1,
     sample_adjacency,
@@ -30,7 +35,7 @@ from netreduce.errors import ModelMismatch, NearSingular, NoFrequencyEvaluated
 from netreduce.graphs import Partition
 from netreduce.reduction import ReducedModel, refine_embedding, reduced_laplacian
 
-from conftest import COUPLING_INTEGRATOR, make_swing_model
+from conftest import COUPLING_INTEGRATOR, EQ15_Q, EQ15_W, make_swing_model
 
 
 UNIT_GAIN = RationalTF((1.0,), (1.0,))
@@ -357,33 +362,135 @@ class TestBandErrorNorms:
         if misclustered:
             assert report.sup_struct > 0.5
 
-    @pytest.mark.parametrize("hinf, per_freq", [(False, 2), (True, 3)])
-    def test_dense_svds_per_frequency(self, eq15_params, monkeypatch, hinf, per_freq):
+    def test_dense_svds_of_the_table(self, eq15_params, monkeypatch):
+        # two dense SVDs per frequency for the table columns; ||T_yu|| only at
+        # the frequencies whose padded Frobenius norm reaches the largest
+        # ||T_yu||, since no other one can hold hinf_t_yu
         model, _ = make_swing_model(eq15_params, seed=0)
         reduced = run_algorithm_1(model, 3, seed=0)
-        shapes = []
-        svd = np.linalg.svd
-
-        def counting_svd(m, *args, **kwargs):
-            shapes.append(np.shape(m))
-            return svd(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         grid = FreqGrid.default(n_points=7)
-        band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=hinf)
-        assert shapes.count((model.n, model.n)) == per_freq * 7
+        sw = sweep(model, grid)
+        t_yu = [evaluation._loop_inverse(model, sw.s[i], sw.ginv[i], sw.f[i]) for i in range(7)]
+        peak = max(spectral_norm(t) for t in t_yu)
+        candidates = sum(evaluation._fro_bound(t) >= peak for t in t_yu)
+        assert 1 <= candidates < 7
+        shapes = _count_svds(monkeypatch)
+        report = band_error(model, reduced, reduced.spectral, sw)
+        assert report.hinf_t_yu == peak
+        assert shapes.count((model.n, model.n)) == 2 * 7 + candidates
         # the other norms are stacked SVDs of at most 2k x 2k matrices
         assert max(max(s[-2:]) for s in shapes if s != (model.n, model.n)) <= 6
 
-    def test_hinf_fields_only_on_request(self, eq15_params):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_svds_of_an_experiment_cell(self, eq15_params, monkeypatch, seed):
+        # sup_err and bound_satisfied of an eq15 cell on the default 200-point
+        # grid take at most 3 dense SVDs, against 400 for the table
+        model, _ = make_swing_model(eq15_params, seed=seed)
+        reduced = run_algorithm_1(model, 3, seed=seed)
+        sw = sweep(model, FreqGrid.default())
+        shapes = _count_svds(monkeypatch)
+        result = band_suprema(model, reduced, reduced.spectral, sw)
+        assert shapes.count((model.n, model.n)) <= 3
+        assert result.bound_satisfied and result.failures == ()
+
+
+def _count_svds(monkeypatch):
+    # the shapes of the matrices np.linalg.svd is called with from now on
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return shapes
+
+
+NOTCH = RationalTF((1.0, 0.0, 1.0), (1.0, 2.0, 1.0))  # 1/g has a pole at s = j
+
+
+@st.composite
+def _bands(draw):
+    """An eq15-like model of 20 to 160 nodes, its reduction and a grid sweep.
+
+    Grid kinds: ``log`` (2 to 30 points on a random band), ``one`` (a
+    one-point grid), ``gap`` (node 0 a notch whose inverse has a pole at
+    omega = 1, which is on the grid) and ``low`` (omega <= 1e-4, where T_yu is
+    nearly rank 1, so ||T_yu||_F and ||T_yu|| agree to 3e-10 relative or
+    closer and the pad of the Frobenius bound decides which frequencies are
+    tried).
+    """
+    quarter = draw(st.sampled_from([5, 10, 20, 40]))
+    params = WsbmParams((quarter, 2 * quarter, quarter), EQ15_Q, EQ15_W)
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["log", "one", "gap", "low"]))
+    model, _ = make_swing_model(params, seed)
+    if kind == "gap":
+        model = NetworkModel((NOTCH,) + model.nodes[1:], model.coupling, model.laplacian)
+    lo = draw(st.floats(1e-3, 1.0)) if kind != "low" else draw(st.floats(1e-6, 1e-5))
+    hi = lo * 10 ** draw(st.floats(0.5, 4.0 if kind != "low" else 1.0))
+    points = log_grid(lo, hi, draw(st.integers(2, 30)))
+    if kind == "one":
+        points = points[-1:]
+    elif kind == "gap":
+        points = np.union1d(points, [1.0])
+        lo, hi = min(lo, 0.5), max(hi, 2.0)
+    grid = FreqGrid(eta=hi * 1.5, omega_min=lo / 1.5, points=points)
+    return model, run_algorithm_1(model, 3, seed=seed), sweep(model, grid), kind
+
+
+class TestPrunedSuprema:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_bands())
+    def test_equal_to_the_maximum_over_every_svd(self, case):
+        # band_error takes both differences' dense SVD at every frequency, so
+        # its sup_err and bound_satisfied are the brute-force values; the
+        # brute-force hinf_t_yu is the largest dense ||T_yu|| over the same
+        # frequencies
+        model, reduced, sw, kind = case
+        report = band_error(model, reduced, reduced.spectral, sw)
+        pruned = band_suprema(model, reduced, reduced.spectral, sw)
+        assert pruned.sup_err == max(err for _, err in report.per_freq)
+        assert pruned.bound_satisfied == report.bound_satisfied
+        assert pruned.failures == report.failures
+        index = {w: i for i, w in enumerate(sw.grid.points.tolist())}
+        brute = max(
+            spectral_norm(evaluation._loop_inverse(model, sw.s[i], sw.ginv[i], sw.f[i]))
+            for i in (index[w] for w, _ in report.per_freq)
+        )
+        assert report.hinf_t_yu == brute
+        if kind == "gap":
+            assert (1.0, "inverse dynamics has a pole at s=1j") in report.failures
+
+    def test_every_frequency_tried_when_the_frobenius_order_is_reversed(self, monkeypatch):
+        # n = 20 at omega in [1e-6, 1e-5]: ||T_yu||_F exceeds ||T_yu|| by up
+        # to 3e-10 relative and rises with omega while ||T_yu|| falls by 2e-10,
+        # so the largest bound is at the smallest norm and no frequency can be
+        # skipped; a bound padded by less than the rounding would stop early
+        params = WsbmParams((5, 10, 5), EQ15_Q, EQ15_W)
+        model, _ = make_swing_model(params, 3)
+        reduced = run_algorithm_1(model, 3, seed=3)
+        sw = sweep(model, FreqGrid(eta=2e-5, omega_min=5e-7, points=log_grid(1e-6, 1e-5, 8)))
+        t_yu = [evaluation._loop_inverse(model, sw.s[i], sw.ginv[i], sw.f[i]) for i in range(8)]
+        norms = [spectral_norm(t) for t in t_yu]
+        bounds = [evaluation._fro_bound(t) for t in t_yu]
+        assert np.argsort(bounds).tolist() == np.argsort(norms)[::-1].tolist()
+        shapes = _count_svds(monkeypatch)
+        report = band_error(model, reduced, reduced.spectral, sw)
+        assert report.hinf_t_yu == max(norms)
+        assert shapes.count((20, 20)) == 2 * 8 + 8
+
+    def test_violated_bound_is_found(self, eq15_params, monkeypatch):
+        # a tolerance no frequency meets: every feasible frequency fails the
+        # upper-bound certificate and its exact norm decides the verdict
         model, _ = make_swing_model(eq15_params, seed=0)
         reduced = run_algorithm_1(model, 3, seed=0)
-        grid = FreqGrid.default(n_points=5)
-        report = band_error(model, reduced, reduced.spectral, sweep(model, grid))
-        assert report.hinf_t_yu is None and report.hinf_t_hat_k is None
-        full = band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=True)
-        assert full.hinf_t_yu > 0 and full.hinf_t_hat_k > 0
-        assert full.per_freq == report.per_freq and full.err_struct == report.err_struct
+        sw = sweep(model, FreqGrid.default(n_points=30))
+        monkeypatch.setattr(evaluation, "_tolerance", lambda bound: 1e-3 * bound)
+        report = band_error(model, reduced, reduced.spectral, sw)
+        assert not report.bound_satisfied
+        assert not band_suprema(model, reduced, reduced.spectral, sw).bound_satisfied
 
 
 class TestGridPass:
@@ -395,7 +502,7 @@ class TestGridPass:
         reduced = run_algorithm_1(model, 3, seed=3)
         data = reduced.spectral
         grid = FreqGrid.default(n_points=12)
-        report = band_error(model, reduced, data, sweep(model, grid), hinf=True)
+        report = band_error(model, reduced, data, sweep(model, grid))
         assert report.failures == ()
         hinf_yu = hinf_hat = 0.0
         for i, w in enumerate(grid.points):
@@ -446,7 +553,7 @@ class TestGridPass:
         )
         data = data or bottom_k_eig(model.laplacian, 2)
         grid = FreqGrid(eta=2.0, omega_min=0.5, points=np.array([0.5, 1.0, 2.0]))
-        return band_error(model, reduced, data, sweep(model, grid), hinf=True)
+        return band_error(model, reduced, data, sweep(model, grid))
 
     def test_singular_rank_k_core_is_one_gap(self):
         # with V = [e_0, e_2] and Lambda = diag(0, 1) the core at s = j is
@@ -481,7 +588,7 @@ def _decoupled_report(model, grid):
         coupling=model.coupling,
     )
     data = SpectralData(np.zeros(n), np.eye(n))
-    return band_error(model, reduced, data, sweep(model, grid), hinf=True)
+    return band_error(model, reduced, data, sweep(model, grid))
 
 
 class TestHinfGrid:
@@ -498,7 +605,7 @@ class TestHinfGrid:
         model, gamma = make_swing_model(eq15_params, seed=3)
         grid = FreqGrid.default(n_points=60)
         reduced = run_algorithm_1(model, 3, seed=3)
-        report = band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=True)
+        report = band_error(model, reduced, reduced.spectral, sweep(model, grid))
         assert report.hinf_t_yu <= gamma * (1 + 1e-6)
         assert report.hinf_t_hat_k <= gamma * (1 + 1e-6)
 
@@ -528,7 +635,7 @@ class TestHinfGrid:
         monkeypatch.setattr(evaluation, "theorem1_bound", record_m1)
         for w in (0.01, 0.5, 2.0):
             grid = FreqGrid(eta=2.0 * w, omega_min=0.5 * w, points=np.array([w]))
-            report = band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=True)
+            report = band_error(model, reduced, reduced.spectral, sweep(model, grid))
             t_k = eval_t_k(model, reduced.spectral, 1j * w)
             t_hat = eval_t_hat_k(model, reduced, 1j * w)
             assert seen_m1[-1] == pytest.approx(spectral_norm(t_k), rel=1e-12)
@@ -553,7 +660,7 @@ class TestHinfGrid:
         model = NetworkModel(nodes=[g] * 6, coupling=UNIT_GAIN, laplacian=laplacian(a))
         reduced = run_algorithm_1(model, 2, seed=0)
         grid = FreqGrid(eta=10.0, omega_min=0.1, points=np.array([0.1, 1.0, 10.0]))
-        report = band_error(model, reduced, reduced.spectral, sweep(model, grid), hinf=True)
+        report = band_error(model, reduced, reduced.spectral, sweep(model, grid))
         assert [w for w, _ in report.failures] == [1.0]
         assert [w for w, _ in report.per_freq] == [0.1, 10.0]
         expected = max(spectral_norm(eval_t_yu(model, 1j * w)) for w in (0.1, 10.0))

@@ -155,7 +155,9 @@ def compare(script, before, repeats):
     """Run ``script --measure`` against both trees, alternating, and summarize each stage.
 
     Returns (stages, thread_env): per stage the median, min and max seconds
-    of each side, and the thread variables each side's children saw.
+    of each side, and the thread variables each side's children saw. A
+    child may also report deterministic counts per stage (``counts``: {metric:
+    {stage: value}}); each side records those of its first child.
     """
     sides = {"before": before, "after": os.path.join(ROOT, "src")}
     runs = {side: [] for side in sides}
@@ -173,6 +175,8 @@ def compare(script, before, repeats):
                 "min_s": min(vals),
                 "max_s": max(vals),
             }
+            for metric, per_stage in results[0].get("counts", {}).items():
+                stages[name][side][metric] = per_stage.get(name)
     return stages, {side: res[0]["thread_env"] for side, res in runs.items()}
 
 
@@ -200,7 +204,12 @@ def write_report(path, doc, stages, args):
         fh.write("\n")
     for name, st in stages.items():
         b, a = st["before"]["median_s"], st["after"]["median_s"]
-        print(f"{name:48s} {b:8.4f} -> {a:8.4f} s")
+        counts = "".join(
+            f"  {metric} {st['before'][metric]} -> {st['after'][metric]}"
+            for metric in st["after"]
+            if not metric.endswith("_s")
+        )
+        print(f"{name:48s} {b:8.4f} -> {a:8.4f} s{counts}")
     for side, res in doc.get("tier1", {}).items():
         print(f"tier-1 {side}: {res['wall_s']:.1f} s, {res['summary']}")
 
