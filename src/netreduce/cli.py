@@ -28,9 +28,16 @@ from .config import build_model, load_config
 from .errors import ConfigError, NetreduceError
 from .evaluation import FreqGrid, band_error, band_suprema, passivity_check, sweep
 from .graphs import expected_laplacian, laplacian, sample_adjacency
-from .io import config_hash, dump_json, write_matrix_csv, write_table_csv
+from .io import (
+    append_matrix_csv,
+    config_hash,
+    dump_json,
+    staged_files,
+    write_matrix_csv,
+    write_table_csv,
+)
 from .reduction import run_algorithm_1
-from .simulate import close_loop, compare_responses, realize_reduced, step_response
+from .simulate import ResponseDeviation, close_loop, lockstep, realize_reduced, step_chunks
 
 BAND_NOTE = "band quantities computed on omega in [omega_min, eta]; omega=0 excluded (coupling pole)"
 
@@ -141,19 +148,20 @@ def cmd_simulate(config, out_dir):
         assignment = reduced.partition.assignment
         full_loop = close_loop(model.nodes, model.coupling, model.laplacian)
         red_loop = realize_reduced(reduced)
-        full = step_response(full_loop, sim.input_node, sim.t_end, sim.dt)
         group_in = int(assignment[sim.input_node])
-        red = step_response(red_loop, group_in, sim.t_end, sim.dt)
-
-        write_matrix_csv(out.path(f"full_seed{seed}.csv"), full.outputs, lead=full.times)
+        paths = out.path(f"full_seed{seed}.csv"), out.path(f"reduced_seed{seed}.csv")
         # node i repeats its group's aggregate column
-        write_matrix_csv(
-            out.path(f"reduced_seed{seed}.csv"),
-            red.outputs,
-            columns=[0, *(assignment + 1).tolist()],
-            lead=red.times,
-        )
-        cmp_report = compare_responses(full, red, reduced.partition)
+        columns = [0, *(assignment + 1).tolist()]
+        deviation = ResponseDeviation(reduced.partition)
+        with staged_files(*paths) as (full_csv, red_csv):
+            for times, y, red_times, y_red in lockstep(
+                step_chunks(full_loop, sim.input_node, sim.t_end, sim.dt),
+                step_chunks(red_loop, group_in, sim.t_end, sim.dt),
+            ):
+                append_matrix_csv(full_csv, y, lead=times)
+                append_matrix_csv(red_csv, y_red, columns=columns, lead=red_times)
+                deviation.add(times, y, red_times, y_red)
+        cmp_report = deviation.report()
         write_table_csv(
             out.path(f"compare_seed{seed}.csv"),
             ["node", "group", "rel_l2"],

@@ -4,17 +4,22 @@ Numeric CSV values print as printf ``%.17g`` (integers as ``%d``). The
 float cells of a matrix are formatted by a numpy kernel, a chunk of cells
 at a time, that produces exactly the bytes of ``%.17g`` and hands the rare
 cells it cannot settle to :func:`fmt` (:func:`write_matrix_csv`); its
-tables are built on the first float write, not at import. JSON documents
-are dumped with sorted keys and no incidental state (no timestamps), so
-re-running a command with the same config and seed reproduces every
-output byte.
+tables are built on the first float write, not at import. A matrix that
+arrives a block of rows at a time is written one block per call
+(:func:`append_matrix_csv`), and :func:`staged_files` gives such files
+their names only once all of them are complete. JSON documents are dumped
+with sorted keys and no incidental state (no timestamps), so re-running a
+command with the same config and seed reproduces every output byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
+import operator
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -208,11 +213,23 @@ def write_matrix_csv(path, matrix, columns=None, lead=None):
     indices into the (lead-extended) rows that may repeat and come in any
     order, line i holds ``matrix[i, columns]``.
 
-    The file is written in chunks of a few thousand cells, one ``write``
-    each, so memory does not grow with the row count. The float cells of a
+    The rows go through :func:`append_matrix_csv`, so memory does not grow
+    with the row count.
+    """
+    with open(path, "wb") as fh:
+        append_matrix_csv(fh, matrix, columns=columns, lead=lead)
+
+
+def append_matrix_csv(fh, matrix, columns=None, lead=None):
+    """Append the lines of :func:`write_matrix_csv` to the binary file ``fh``.
+
+    Rows are written in chunks of a few thousand cells, one ``write`` each,
+    so a matrix that arrives a block of rows at a time, one call per block,
+    is written with the same bytes as in one call. The float cells of a
     chunk are formatted once each, all together, into fixed-width records
-    (:func:`_format_floats`); ``columns`` gathers those records, and their
-    unused NUL bytes are dropped as the chunk is written.
+    (:func:`_format_floats`) whose unused NUL bytes are dropped. With
+    ``columns``, each line is then assembled from its row's formatted
+    cells, so a column that repeats is formatted once.
     """
     m = np.atleast_2d(np.asarray(matrix))
     blocks = [m] if lead is None else [np.asarray(lead)[:, None], m]
@@ -223,24 +240,58 @@ def write_matrix_csv(path, matrix, columns=None, lead=None):
     integer = np.result_type(*blocks).kind in "biu"
     step = max(1, _CHUNK_CELLS // max(width, 1))  # rows formatted at a time
     out_step = max(1, _CHUNK_CELLS // max(picked.size, 1))  # rows written at a time
-    with open(path, "wb") as fh:
-        for start in range(0, len(m), step):
-            cells = np.concatenate([b[start : start + step] for b in blocks], axis=1)
-            if integer:
-                row = ",".join(["%d"] * picked.size) + "\n"
-                fh.write("".join(row % tuple(r) for r in cells[:, picked].tolist()).encode())
-            elif not picked.size:
-                fh.write(b"\n" * len(cells))
-            else:
-                rec = _format_floats(cells.astype(np.float64, copy=False).ravel())
-                rec = rec.reshape(len(cells), width, _REC)
-                for sub in range(0, len(cells), out_step):
-                    out = rec[sub : sub + out_step]
-                    if columns is not None:
-                        out = out[:, picked]
-                    out[:, :, _SEP] = ord(",")
-                    out[:, -1, _SEP] = ord("\n")
-                    fh.write(out.tobytes().translate(None, b"\0"))
+    pick = operator.itemgetter(*picked.tolist()) if picked.size > 1 else None
+    for start in range(0, len(m), step):
+        cells = np.concatenate([b[start : start + step] for b in blocks], axis=1)
+        if integer:
+            row = ",".join(["%d"] * picked.size) + "\n"
+            fh.write("".join(row % tuple(r) for r in cells[:, picked].tolist()).encode())
+        elif not picked.size:
+            fh.write(b"\n" * len(cells))
+        else:
+            rec = _format_floats(cells.astype(np.float64, copy=False).ravel())
+            rec = rec.reshape(len(cells), width, _REC)
+            rec[:, :, _SEP] = ord(",")
+            rec[:, -1, _SEP] = ord("\n")
+            text = rec.tobytes().translate(None, b"\0")
+            if columns is None:
+                fh.write(text)
+                continue
+            lines = text.split(b"\n")
+            lines.pop()  # the empty text after the last newline
+            for sub in range(0, len(cells), out_step):
+                chunk = lines[sub : sub + out_step]
+                if pick is None:
+                    out = [line.split(b",")[picked[0]] for line in chunk]
+                else:
+                    out = [b",".join(pick(line.split(b","))) for line in chunk]
+                out.append(b"")
+                fh.write(b"\n".join(out))
+
+
+@contextlib.contextmanager
+def staged_files(*paths):
+    """Binary handles, one per path, that become the files ``paths`` only on success.
+
+    Each file is written as ``path + ".part"``. When the block ends without
+    an exception, the handles are closed and renamed to ``paths`` in order;
+    when it raises, the partial files are deleted, so a failed command
+    leaves neither a truncated output nor a temporary file.
+    """
+    parts = [f"{path}.part" for path in paths]
+    handles = []
+    try:
+        for part in parts:
+            handles.append(open(part, "wb"))
+        yield handles
+    except BaseException:
+        for fh, part in zip(handles, parts):
+            fh.close()
+            os.remove(part)
+        raise
+    for fh, part, path in zip(handles, parts, paths):
+        fh.close()
+        os.replace(part, path)
 
 
 def read_matrix_csv(path):

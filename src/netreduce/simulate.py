@@ -6,7 +6,10 @@ discretisation: with the input held constant, the sampled state obeys
 x_{j+1} = Phi x_j + Gamma with no truncation error. The reduced network is
 simulated in its own k-node form and compared to the full response after
 broadcasting through the partition; each aggregate node is realized from
-its members' inverses without multiplying their polynomials.
+its members' inverses without multiplying their polynomials. A response
+comes as a stream of chunks of samples (``step_chunks``); ``lockstep``
+pairs the chunks of the two networks, and ``ResponseDeviation`` folds them
+into the comparison, so that neither trajectory need be held whole.
 """
 
 from __future__ import annotations
@@ -221,6 +224,9 @@ def _expm(a):
 # only adds operator products and memory (16 samples of operators take
 # 0.64 of that loop's output array)
 _BLOCK_MAX = 16
+# outputs per product of ``step_chunks`` at least: only below 1200 outputs
+# does OpenBLAS switch to its small-matrix kernel, which rounds differently
+_RUN_CELLS = 16384
 # largest ||Z^m - I|| ||Z - I|| at which a block may grow by one more
 # sample: far enough inside the float range that no product overflows
 _GROWTH_MAX = 1e150
@@ -234,6 +240,19 @@ def _block_length(steps, ns):
     outputs.
     """
     return max(1, min(_BLOCK_MAX, (steps + 1) // (ns + 1)))
+
+
+def _run_length(ns, width):
+    """Block starts R per output product of ``step_chunks``, for ``width`` = B n_out.
+
+    At least two starts and ``_RUN_CELLS`` outputs, so that BLAS computes
+    each row as in any longer product, and a quarter of the ns + 1 columns
+    of the starts, since each product packs the whole (ns + 1) x B n_out
+    operator block again: on the 640-state loop of n = 320, 30001 samples
+    took 1.01-1.07 s in runs of 32 starts and 0.80-1.00 s in runs of 160,
+    against 0.78-0.97 s in one product per batch.
+    """
+    return max(2, (ns + 1) // 4, -(-_RUN_CELLS // width))
 
 
 def _inf_norm(m):
@@ -278,8 +297,12 @@ def _block_operators(zoh, c_aug, block):
     return ops[:m], d, grow, rest
 
 
-def step_response(sys, input_node, t_end, dt, state_limit=1e12):
+def step_chunks(sys, input_node, t_end, dt, state_limit=1e12):
     """Step response from rest, sampled every ``dt`` without truncation error.
+
+    Yields ``(times, outputs)`` chunks of consecutive samples, from t = 0
+    to ``t_end``, one output column per system output; memory does not
+    grow with the horizon.
 
     The input is a unit step on ``input_node`` (zero elsewhere), applied
     from t = 0. Over one sample the input is constant, so the state obeys
@@ -292,19 +315,20 @@ def step_response(sys, input_node, t_end, dt, state_limit=1e12):
     Z^m = [[Phi^m, x_m], [0, 1]], with x_m the state m samples from rest,
     the m-th sample after a block start s is
     [C, d] Z^m [s; 1] = C (Phi^m s + x_m) + d. Only the block starts are
-    stepped, [s'; 1] = Z^B [s; 1]. The outputs of a chunk of J starts come
-    from one (J x (ns + 1)) @ ((ns + 1) x B n_out) product, written into
-    the output array. B (ns + 1) <= steps + 1 and J <= B n_out, so the
-    block operators and the chunk of starts each take no more memory than
-    the outputs.
+    stepped, [s'; 1] = Z^B [s; 1]. The outputs of a run of J starts come
+    from one (J x (ns + 1)) @ ((ns + 1) x B n_out) product, and make one
+    chunk. The output bits are those of one product per batch of B n_out
+    starts; a batch is cut into runs of at least R starts
+    (``_run_length``), and a batch of fewer than 2R starts is one run. BLAS
+    gives each row the same bits in any product of two or more rows and
+    more than about a thousand outputs, so the outputs do not depend on R.
 
-    Only the outputs are stored. Raises Diverged at the first sample where
-    any state is non-finite or larger than ``state_limit`` in magnitude.
-    Every state of a block is at most
-    max_m ||Phi^m||_inf |s|_inf + max_m |x_m|_inf. A block whose bound
-    exceeds the limit, or is NaN, is stepped one sample at a time, so the
-    first such sample is named exactly and no inf or NaN is stepped on.
-    Raises ValueError when ``dt`` does not divide ``t_end`` (see
+    Raises Diverged at the first sample where any state is non-finite or
+    larger than ``state_limit`` in magnitude. Every state of a block is at
+    most max_m ||Phi^m||_inf |s|_inf + max_m |x_m|_inf. A block whose
+    bound exceeds the limit, or is NaN, is stepped one sample at a time, so
+    the first such sample is named exactly and no inf or NaN is stepped
+    on. Raises ValueError when ``dt`` does not divide ``t_end`` (see
     ``sample_steps``).
     """
     ns, ni, n_out = sys.dims
@@ -314,10 +338,12 @@ def step_response(sys, input_node, t_end, dt, state_limit=1e12):
         raise ValueError(f"input_node {input_node} out of range [0, {ni})")
     steps = sample_steps(t_end, dt)
     d_u = sys.d[:, input_node]
-    times = np.arange(steps + 1) * dt
-    spec = f"unit step at node {input_node}"
     if ns == 0:
-        return SimResult(times=times, outputs=np.tile(d_u, (steps + 1, 1)), input_spec=spec)
+        rows = max(1, _RUN_CELLS // max(n_out, 1))
+        for r0 in range(0, steps + 1, rows):
+            r1 = min(r0 + rows, steps + 1)
+            yield np.arange(r0, r1) * dt, np.tile(d_u, (r1 - r0, 1))
+        return
     aug = np.zeros((ns + 1, ns + 1))
     aug[:ns, :ns] = sys.a
     aug[:ns, ns] = sys.b[:, input_node]
@@ -329,32 +355,60 @@ def step_response(sys, input_node, t_end, dt, state_limit=1e12):
     block = ops.shape[0]
     ops = ops.reshape(block * n_out, ns + 1)
 
-    out = np.empty((steps + 1, n_out))
-    out[0] = d_u
-    n_blocks = -(-steps // block)
-    starts = np.empty((min(n_blocks, max(1, block * n_out)), ns + 1))
+    n_blocks, n_whole = -(-steps // block), steps // block
+    batch = min(n_blocks, max(1, block * n_out))
+    run = _run_length(ns, block * n_out)
+    starts = np.empty((min(batch, 2 * run), ns + 1))
     s = np.zeros(ns + 1)
     s[ns] = 1.0
-    for j0 in range(0, n_blocks, starts.shape[0]):
-        chunk = starts[: n_blocks - j0]
-        for j, start in enumerate(chunk):
-            start[:] = s
-            # a NaN bound fails the comparison too
-            if not grow * float(np.abs(s[:ns]).max()) + rest <= state_limit:
-                x = s[:ns]
-                first = (j0 + j) * block
-                for i in range(first + 1, min(first + block, steps) + 1):
-                    x = phi @ x + gamma
-                    if not np.abs(x).max() <= state_limit:
-                        raise Diverged(f"state magnitude exceeded {state_limit:g} at t={i * dt:g}")
-            s = s + d @ s
-        rows = out[1 + j0 * block : 1 + (j0 + chunk.shape[0]) * block]
-        full = rows.shape[0] // block
-        np.matmul(chunk[:full], ops.T, out=rows[: full * block].reshape(full, block * n_out))
-        tail = rows.shape[0] - full * block
-        if tail:
-            rows[full * block :] = (ops[: tail * n_out] @ chunk[full]).reshape(tail, n_out)
-    return SimResult(times=times, outputs=out, input_spec=spec)
+    for b0 in range(0, n_blocks, batch):
+        b1 = min(b0 + batch, n_blocks)
+        # the last start of the horizon may have a partial block, which
+        # joins the batch's last run as a matrix-vector product
+        g1 = min(b1, n_whole)
+        cuts = list(range(b0, g1, run)) or [b0]
+        if len(cuts) > 1 and g1 - cuts[-1] < run:
+            cuts.pop()
+        for j0, j1 in zip(cuts, [*cuts[1:], b1]):
+            chunk = starts[: j1 - j0]
+            for j, start in enumerate(chunk):
+                start[:] = s
+                # a NaN bound fails the comparison too
+                if not grow * float(np.abs(s[:ns]).max()) + rest <= state_limit:
+                    x = s[:ns]
+                    first = (j0 + j) * block
+                    for i in range(first + 1, min(first + block, steps) + 1):
+                        x = phi @ x + gamma
+                        if not np.abs(x).max() <= state_limit:
+                            raise Diverged(f"state magnitude exceeded {state_limit:g} at t={i * dt:g}")
+                s = s + d @ s
+            # row 0 is sample j0 B: t = 0 in the first chunk, else the
+            # previous chunk's last row
+            r0, r1 = j0 * block, 1 + min(j1 * block, steps)
+            y = np.empty((r1 - r0, n_out))
+            y[0] = d_u
+            full = min(j1, n_whole) - j0
+            np.matmul(chunk[:full], ops.T, out=y[1 : 1 + full * block].reshape(full, block * n_out))
+            tail = y.shape[0] - 1 - full * block
+            if tail:
+                y[1 + full * block :] = (ops[: tail * n_out] @ chunk[full]).reshape(tail, n_out)
+            skip = int(j0 > 0)
+            yield np.arange(r0 + skip, r1) * dt, y[skip:]
+            del y  # a consumer done with the chunk frees it before the next
+
+
+def step_response(sys, input_node, t_end, dt, state_limit=1e12):
+    """The samples of ``step_chunks``, collected into one SimResult."""
+    out, row = None, 0
+    for _, y in step_chunks(sys, input_node, t_end, dt, state_limit):
+        if out is None:  # after the matrix exponential's temporaries are freed
+            out = np.empty((sample_steps(t_end, dt) + 1, y.shape[1]))
+        out[row : row + len(y)] = y
+        row += len(y)
+        del y  # freed before the next chunk is computed
+    return SimResult(
+        times=np.arange(len(out)) * dt, outputs=out, input_spec=f"unit step at node {input_node}"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,11 +428,55 @@ def broadcast_outputs(reduced_outputs, partition):
     return y[:, partition.assignment]
 
 
+class ResponseDeviation:
+    """The running sums of ``compare_responses``, fed a chunk of samples at a time.
+
+    ``add`` takes the next rows of the full outputs and of the k aggregate
+    outputs, with their times; ``report`` gives the ComparisonReport of all
+    rows added. Each sum adds its rows one after another, in time order,
+    whatever the chunks: the same sums, bit for bit, as numpy's
+    ``sum(axis=0)`` of the whole trajectory.
+    """
+
+    def __init__(self, partition):
+        self.partition = partition
+        self.base = np.zeros(partition.n)  # sum of y_i^2
+        self.diff = np.zeros(partition.n)  # sum of (y_i - yhat_(i))^2
+
+    def add(self, times, outputs, red_times, red_outputs):
+        t_f = np.asarray(times)
+        t_r = np.asarray(red_times)
+        if t_f.size != t_r.size or np.abs(t_f - t_r).max() > 1e-9 * max(1.0, t_f[-1]):
+            raise GridMismatch("time grids differ")
+        y = np.asarray(outputs, dtype=float)
+        yhat = broadcast_outputs(red_outputs, self.partition)
+        if y.shape != yhat.shape:
+            raise GridMismatch(f"output shapes differ: {y.shape} vs {yhat.shape}")
+        # row 0 carries the sum so far, and add.reduce adds the rows in order
+        rows = np.empty((len(y) + 1, y.shape[1]))
+        rows[0] = self.base
+        np.multiply(y, y, out=rows[1:])
+        self.base = np.add.reduce(rows, axis=0)
+        rows[0] = self.diff
+        np.subtract(y, yhat, out=rows[1:])
+        rows[1:] *= rows[1:]
+        self.diff = np.add.reduce(rows, axis=0)
+
+    def report(self):
+        base = np.sqrt(self.base)
+        diff = np.sqrt(self.diff)
+        per_node = np.where(base > 0, diff / np.where(base > 0, base, 1.0), np.where(diff > 0, np.inf, 0.0))
+        per_group = np.array([per_node[idx].max() for idx in self.partition.blocks()])
+        return ComparisonReport(per_node=per_node, per_group=per_group, full_l2=base)
+
+
 def compare_responses(full, reduced, partition):
     """Relative L2 deviations between full node outputs and broadcast aggregates.
 
     Per node: ||y_i - yhat_(i)||_2 / ||y_i||_2 over the trajectory; per
     group: the maximum over member nodes. Requires matching time grids.
+    ``full`` and ``reduced`` are SimResults, folded into a
+    ``ResponseDeviation`` as one chunk.
 
     The per-node figure includes the full network's own within-group
     deviation y_i - mean over the group of y, which no group-broadcast output
@@ -386,23 +484,44 @@ def compare_responses(full, reduced, partition):
     ||y_i - y_j||_2 / (||y_i||_2 + ||y_j||_2) = r leaves one of them at
     relative error >= r whatever the reduced model does.
     """
-    t_f = np.asarray(full.times)
-    t_r = np.asarray(reduced.times)
-    if t_f.size != t_r.size or np.abs(t_f - t_r).max() > 1e-9 * max(1.0, t_f[-1]):
-        raise GridMismatch("time grids differ")
-    y = np.asarray(full.outputs, dtype=float)
-    yhat = broadcast_outputs(reduced.outputs, partition)
-    if y.shape != yhat.shape:
-        raise GridMismatch(f"output shapes differ: {y.shape} vs {yhat.shape}")
-    base = np.sqrt((y**2).sum(axis=0))
-    # squared in place: the `simulate` command peaks here, and one
-    # output-sized temporary fewer lowers that peak
-    sq = y - yhat
-    sq *= sq
-    diff = np.sqrt(sq.sum(axis=0))
-    per_node = np.where(base > 0, diff / np.where(base > 0, base, 1.0), np.where(diff > 0, np.inf, 0.0))
-    per_group = np.array([per_node[idx].max() for idx in partition.blocks()])
-    return ComparisonReport(per_node=per_node, per_group=per_group, full_l2=base)
+    deviation = ResponseDeviation(partition)
+    deviation.add(full.times, full.outputs, reduced.times, reduced.outputs)
+    return deviation.report()
+
+
+def lockstep(full, reduced):
+    """Chunks of the same samples from two ``step_chunks`` streams.
+
+    The two streams may cut the samples into different chunks, since their
+    block lengths differ. Each ``(times, outputs, red_times, red_outputs)``
+    holds the next rows that both streams have produced; at most one chunk
+    of each is held. When ``reduced`` raises Diverged, ``full`` is stepped
+    to its end first, and its own Diverged, if any, is raised instead: the
+    full network's divergence is reported wherever it occurs. Raises
+    GridMismatch when one stream ends before the other.
+    """
+    streams = (full, reduced)
+    held = [(np.empty(0), None)] * 2
+    while True:
+        for i, stream in enumerate(streams):
+            if not len(held[i][0]):
+                try:
+                    held[i] = next(stream)
+                except StopIteration:
+                    held[i] = None
+                except Diverged:
+                    if stream is reduced:
+                        for _ in full:
+                            pass
+                    raise
+        if held[0] is None or held[1] is None:
+            if held[0] is held[1]:
+                return
+            raise GridMismatch("time grids differ")
+        (t, y), (t_r, y_r) = held
+        m = min(len(t), len(t_r))
+        yield t[:m], y[:m], t_r[:m], y_r[:m]
+        held = [(t[m:], y[m:]), (t_r[m:], y_r[m:])]
 
 
 def _split_inverse(g):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,45 @@ class TestSimulate:
         np.testing.assert_array_equal(red[:, 0], expected.times)
         groups = red[:, [1 + j for j in first]]
         np.testing.assert_allclose(groups, expected.outputs, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
+        "unstable,when",
+        [
+            ({1: [1.0, -1.0]}, 1.62),
+            ({40: [1.0, 0.0, -1.0]}, 0.955),
+            # the reduced loop diverges first, at t = 0.953
+            ({1: [1.0, -1.0], 41: [1.0, 0.0, -1.0]}, 1.62),
+        ],
+        ids=["full-loop", "reduced-loop", "reduced-loop-first"],
+    )
+    def test_diverging_seed_writes_no_step_response(self, tmp_path, capsys, unstable, when):
+        # stable nodes 1/(1 + s) but for the unstable ones; the step time
+        # named is the first sample of the loop that diverges, the full
+        # loop whenever it does
+        tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * 80
+        for node, den in unstable.items():
+            tfs[node] = {"num": [1.0], "den": den}
+        cfg = write_config(tmp_path, base_config(nodes={"preset": "explicit", "tfs": tfs}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: Diverged: state magnitude exceeded 1e+12 at t={when:g}\n"
+        assert os.listdir(out) == []
+
+    def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        peaks = {}
+        for t_end in (4.0, 16.0):
+            doc = base_config(sim={"dt": 1e-3, "t_end": t_end, "input_node": 1})
+            cfg = write_config(tmp_path, doc, f"c{t_end:g}.json")
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", cfg, "--out", str(tmp_path / f"t{t_end:g}")]) == 0
+                peaks[t_end] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 12000 more samples of the 80 outputs are 7.7 MB per array
+        print(f"traced peaks: {peaks[4.0] / 2**20:.2f} MB at t_end 4, {peaks[16.0] / 2**20:.2f} MB at 16")
+        assert peaks[16.0] <= peaks[4.0] + 2**18
 
     def test_k1_identical_nodes_coherent_spread(self, tmp_path):
         # one tightly connected group of identical nodes: every member

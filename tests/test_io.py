@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import netreduce
-from netreduce.io import _CHUNK_CELLS, read_matrix_csv, write_matrix_csv
+from netreduce.io import _CHUNK_CELLS, append_matrix_csv, read_matrix_csv, staged_files, write_matrix_csv
 
 
 def _old_fmt(x):
@@ -277,6 +277,18 @@ class TestExactPrintf:
         assert _written(tmp_path, m) == _printf_csv(m)
         assert _written(tmp_path, m, columns, lead) == _printf_csv(m, columns, lead)
 
+    def test_appended_blocks_write_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        m = rng.choice(SPECIAL_FLOATS, size=(3000, 5)) * rng.choice([1.0, -1.0], size=(3000, 5))
+        lead = np.arange(3000) * 1e-3
+        cuts = [0, 1, 2, 700, 701, 2999, 3000]
+        for columns in (None, [0, 1, 1, 3, 5, 2, 2], [4]):
+            path = tmp_path / "blocks.csv"
+            with open(path, "wb") as fh:
+                for r0, r1 in zip(cuts, cuts[1:]):
+                    append_matrix_csv(fh, m[r0:r1], columns=columns, lead=lead[r0:r1])
+            assert path.read_text() == _written(tmp_path, m, columns, lead)
+
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         # simulate's largest output shape; the text is about 53 MB
         m = np.random.default_rng(0).standard_normal((30001, 80)) * np.geomspace(1e-9, 1e3, 80)
@@ -290,6 +302,26 @@ class TestExactPrintf:
         assert peak < 3 * 2**20, peak  # about 1.3 MB: one chunk of records and its temporaries
         with open(tmp_path / "m.csv") as fh:
             assert next(fh) == _printf_csv(m[:1], lead=lead[:1])
+
+
+class TestStagedFiles:
+    def test_renamed_when_the_block_succeeds(self, tmp_path):
+        paths = tmp_path / "a.csv", tmp_path / "b.csv"
+        with staged_files(*paths) as (a, b):
+            a.write(b"1\n")
+            b.write(b"2\n")
+            assert sorted(os.listdir(tmp_path)) == ["a.csv.part", "b.csv.part"]
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
+        assert [p.read_bytes() for p in paths] == [b"1\n", b"2\n"]
+
+    def test_nothing_left_when_the_block_raises(self, tmp_path):
+        (tmp_path / "a.csv").write_bytes(b"old\n")
+        with pytest.raises(KeyError):
+            with staged_files(tmp_path / "a.csv", tmp_path / "b.csv") as (a, _):
+                a.write(b"new\n")
+                raise KeyError("failed")
+        assert os.listdir(tmp_path) == ["a.csv"]
+        assert (tmp_path / "a.csv").read_bytes() == b"old\n"
 
 
 def test_import_builds_no_table():

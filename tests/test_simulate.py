@@ -17,20 +17,25 @@ from netreduce import (
     eval_t_hat_k,
     eval_t_yu,
     first_order_swing,
+    lockstep,
     realize,
     realize_aggregate,
     realize_reduced,
     run_algorithm_1,
+    step_chunks,
     step_response,
     tf_eval,
 )
+from netreduce import simulate
 from netreduce.config import build_model, config_from_dict
 from netreduce.simulate import (
     _BLOCK_MAX,
+    ResponseDeviation,
     SimResult,
     StateSpace,
     _block_length,
     _expm,
+    _run_length,
     coupling_block,
 )
 
@@ -313,6 +318,24 @@ class TestBlockStepper:
         print(f"n = {model.n}: peak {arrays:.3f} output arrays, budget {per_sample_peak + 1:.2f}")
         assert arrays <= per_sample_peak + 1
 
+    @pytest.mark.parametrize("loop_name,steps", [("full", 1), ("full", 4005), ("full", 30000), ("reduced", 30000)])
+    def test_chunks_do_not_depend_on_the_run_length(self, eq15_loops, monkeypatch, loop_name, steps):
+        # the shortest runs that keep OpenBLAS off its small-matrix kernel
+        full, reduced, group_in = eq15_loops
+        loop, node = (full, 1) if loop_name == "full" else (reduced, group_in)
+        ref = step_response(loop, node, t_end=steps * 1e-3, dt=1e-3)
+        monkeypatch.setattr(simulate, "_run_length", lambda ns, width: max(2, -(-1201 // width)))
+        chunks = list(step_chunks(loop, node, steps * 1e-3, 1e-3))
+        np.testing.assert_array_equal(np.concatenate([t for t, _ in chunks]), ref.times)
+        np.testing.assert_array_equal(np.concatenate([y for _, y in chunks]), ref.outputs)
+
+    def test_chunks_stay_short(self, eq15_loops):
+        full, _, _ = eq15_loops
+        rows = [len(y) for _, y in step_chunks(full, 1, 30.0, 1e-3)]
+        assert sum(rows) == 30001
+        # runs of at most 2 R starts of B = 16 samples each
+        assert max(rows) <= 2 * _run_length(160, 16 * 80) * 16
+
 
 class TestExpm:
     def test_zero_matrix_gives_identity(self):
@@ -469,6 +492,59 @@ class TestCompareResponses:
         b = SimResult(times=np.arange(6) * 0.1, outputs=np.zeros((6, model.n)))
         with pytest.raises(GridMismatch):
             compare_responses(a, b, reduced.partition)
+
+    def test_fold_in_chunks_is_bit_equal_to_whole_trajectory_sums(self, eq15_params, eq15_loops):
+        model, _ = make_swing_model(eq15_params, seed=0)
+        partition = run_algorithm_1(model, 3, seed=0).partition
+        full_loop, red_loop, group_in = eq15_loops
+        full = step_response(full_loop, 1, t_end=4.0, dt=1e-3)
+        red = step_response(red_loop, group_in, t_end=4.0, dt=1e-3)
+        whole = compare_responses(full, red, partition)
+        y, yhat = full.outputs, red.outputs[:, partition.assignment]
+        np.testing.assert_array_equal(whole.full_l2, np.sqrt((y**2).sum(axis=0)))
+        np.testing.assert_array_equal(whole.per_node, np.sqrt(((y - yhat) ** 2).sum(axis=0)) / whole.full_l2)
+
+        deviation = ResponseDeviation(partition)
+        cuts = [0, 1, 2, 515, 1000, 3999, 4001]
+        for r0, r1 in zip(cuts, cuts[1:]):
+            t = full.times[r0:r1]
+            deviation.add(t, full.outputs[r0:r1], t, red.outputs[r0:r1])
+        chunked = deviation.report()
+        np.testing.assert_array_equal(chunked.per_node, whole.per_node)
+        np.testing.assert_array_equal(chunked.per_group, whole.per_group)
+
+    def test_lockstep_pairs_the_same_samples(self, eq15_loops):
+        full_loop, red_loop, group_in = eq15_loops
+        full = step_response(full_loop, 1, t_end=4.0, dt=1e-3)
+        red = step_response(red_loop, group_in, t_end=4.0, dt=1e-3)
+        pairs = list(
+            lockstep(step_chunks(full_loop, 1, 4.0, 1e-3), step_chunks(red_loop, group_in, 4.0, 1e-3))
+        )
+        # the two streams cut their rows differently
+        assert len(pairs) > len(list(step_chunks(full_loop, 1, 4.0, 1e-3)))
+        for i, ref in ((0, full.times), (1, full.outputs), (2, red.times), (3, red.outputs)):
+            np.testing.assert_array_equal(np.concatenate([p[i] for p in pairs]), ref)
+
+    def test_lockstep_streams_of_different_length(self, eq15_loops):
+        full_loop, red_loop, group_in = eq15_loops
+        for t_full, t_red in ((2.0, 3.0), (3.0, 2.0)):
+            streams = step_chunks(full_loop, 1, t_full, 1e-3), step_chunks(red_loop, group_in, t_red, 1e-3)
+            with pytest.raises(GridMismatch):
+                list(lockstep(*streams))
+
+    @pytest.mark.parametrize("full_rate,red_rate", [(0.5, 2.0), (None, 2.0), (2.0, 0.5), (2.0, None)])
+    def test_lockstep_raises_the_full_loops_divergence_first(self, full_rate, red_rate):
+        # x' = r x + u leaves 1e6 at t = ln(1 + 1e6 r) / r: the full loop's
+        # divergence is reported, wherever it occurs; a stable loop has r = -1
+        def loop(rate):
+            return StateSpace(a=[[-1.0 if rate is None else rate]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
+
+        full, red = loop(full_rate), loop(red_rate)
+        with pytest.raises(Diverged) as alone:
+            step_response(full if full_rate else red, 0, t_end=40.0, dt=0.01, state_limit=1e6)
+        with pytest.raises(Diverged) as both:
+            list(lockstep(*(step_chunks(ss, 0, 40.0, 0.01, state_limit=1e6) for ss in (full, red))))
+        assert str(both.value) == str(alone.value)
 
     def test_reduced_model_simulation_end_to_end(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)

@@ -13,12 +13,18 @@ by 1 and 4) and for 4001 and 30001 samples at dt = 1e-3:
   outputs with one column per node (repeated columns), each with the time
   column as ``lead``, as ``simulate`` writes them.
 
+It also runs the ``simulate`` command end to end on
+``configs/three_group.json`` with seed 0, at n = 80 with 4001 samples and
+at n = 320 (sizes scaled by 4) with 30001 samples, and records the wall
+time and peak RSS of each CLI process.
+
 Each measurement runs in a fresh interpreter that imports ``netreduce``
 from either ``--before`` (a source tree of another commit) or this
 repository's ``src``; the two sides alternate ``--repeats`` times, and the
-file records each stage's median, min and max wall time per side, with the
-machine, the numpy version and its BLAS, and the thread variables the
-children saw. The output files go to a temporary directory that is deleted.
+file records each stage's median, min and max wall time per side (and peak
+RSS, for the end-to-end rows), with the machine, the numpy version and its
+BLAS, and the thread variables the children saw. The output files go to a
+temporary directory that is deleted.
 With ``--tier1`` the tier-1 suite (``python -m pytest -q``) of each tree
 also runs once, the tree's ``tests`` next to its ``src``, and its wall time
 is recorded.
@@ -41,6 +47,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SCALES = (1, 4)
 SAMPLES = (4001, 30001)
 DT = 1e-3
+# (scale, samples) of the end-to-end `simulate` runs
+SIMULATE_RUNS = ((1, 4001), (4, 30001))
 
 
 def _loops(scale):
@@ -102,6 +110,46 @@ def measure():
     return {"times": times, "thread_env": {v: os.environ.get(v) for v in THREAD_VARS}}
 
 
+def simulate_end_to_end(src):
+    """Wall time and peak RSS of each ``SIMULATE_RUNS`` run of the CLI, importing ``src``.
+
+    Each run is one ``python -m netreduce.cli simulate`` process, whose
+    peak RSS ``os.wait4`` reports. That figure includes the memory of the
+    process that started it, so the runs start from this small harness
+    process rather than from a measuring child that has loaded numpy.
+    """
+    with open(os.path.join(ROOT, "configs", "three_group.json")) as fh:
+        base = json.load(fh)
+    times, rss = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for scale, samples in SIMULATE_RUNS:
+            sizes = [size * scale for size in base["wsbm"]["sizes"]]
+            doc = dict(
+                base,
+                seeds=[0],
+                wsbm=dict(base["wsbm"], sizes=sizes),
+                sim=dict(base["sim"], t_end=round((samples - 1) * DT, 9)),
+            )
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as fh:
+                json.dump(doc, fh)
+            args = ["simulate", "--config", config, "--out", os.path.join(tmp, f"out-{scale}")]
+            t0 = time.perf_counter()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "netreduce.cli", *args],
+                env=child_env(src), cwd=tmp, stdout=subprocess.DEVNULL,
+            )
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - t0
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode:
+                raise RuntimeError(f"simulate at n = {sum(sizes)} exited {proc.returncode}")
+            name = f"simulate/n={sum(sizes)}/samples={samples}"
+            times[name] = wall
+            rss[name] = usage.ru_maxrss / 1024
+    return {"times": times, "peak_rss_mb": rss}
+
+
 def child_env(src):
     """Environment of a child that imports ``netreduce`` from ``src``, with the
     package's default thread settings (no BLAS thread variable)."""
@@ -151,19 +199,28 @@ def parse_args(argv, doc, default_out):
     return args
 
 
-def compare(script, before, repeats):
+def compare(script, before, repeats, extra=None):
     """Run ``script --measure`` against both trees, alternating, and summarize each stage.
 
     Returns (stages, thread_env): per stage the median, min and max seconds
     of each side, and the thread variables each side's children saw. A
     child may also report deterministic counts per stage (``counts``: {metric:
-    {stage: value}}); each side records those of its first child.
+    {stage: value}}); each side records those of its first child. With
+    ``extra``, a function of a side's ``src`` that returns ``times`` and
+    ``peak_rss_mb`` ({stage: value}) of more stages, each child is followed
+    by one call of it, and the median, min and max peak RSS of those stages
+    are recorded too.
     """
     sides = {"before": before, "after": os.path.join(ROOT, "src")}
     runs = {side: [] for side in sides}
     for r in range(repeats):
         for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
-            runs[side].append(_child(script, sides[side]))
+            res = _child(script, sides[side])
+            if extra:
+                more = extra(sides[side])
+                res["times"].update(more["times"])
+                res["peak_rss_mb"] = more["peak_rss_mb"]
+            runs[side].append(res)
             print(f"# repeat {r + 1}/{repeats} {side} done", file=sys.stderr)
     stages = {}
     for name in runs["after"][0]["times"]:
@@ -175,6 +232,13 @@ def compare(script, before, repeats):
                 "min_s": min(vals),
                 "max_s": max(vals),
             }
+            if name in results[0].get("peak_rss_mb", {}):
+                rss = [res["peak_rss_mb"][name] for res in results]
+                stages[name][side].update(
+                    peak_rss_mb_median=statistics.median(rss),
+                    peak_rss_mb_min=min(rss),
+                    peak_rss_mb_max=max(rss),
+                )
             for metric, per_stage in results[0].get("counts", {}).items():
                 stages[name][side][metric] = per_stage.get(name)
     return stages, {side: res[0]["thread_env"] for side, res in runs.items()}
@@ -207,7 +271,7 @@ def write_report(path, doc, stages, args):
         counts = "".join(
             f"  {metric} {st['before'][metric]} -> {st['after'][metric]}"
             for metric in st["after"]
-            if not metric.endswith("_s")
+            if not metric.endswith(("_s", "_min", "_max"))
         )
         print(f"{name:48s} {b:8.4f} -> {a:8.4f} s{counts}")
     for side, res in doc.get("tier1", {}).items():
@@ -219,11 +283,13 @@ def main(argv=None):
     if args.measure:
         print(json.dumps(measure()))
         return 0
-    stages, thread_env = compare(__file__, args.before, args.repeats)
+    stages, thread_env = compare(__file__, args.before, args.repeats, extra=simulate_end_to_end)
     doc = {
-        "what": "wall time of each simulate stage, before and after, each run in a fresh interpreter",
-        "inputs": "eq15 three-group graph (20/40/20 scaled by 1 and 4), graph seed 0, "
-        "swing nodes, f = 1/s, k = 3, dt = 1e-3, unit step at node 1",
+        "what": "wall time of each simulate stage, before and after, each run in a fresh "
+        "interpreter; wall time and peak RSS of the simulate command end to end",
+        "inputs": "stages: eq15 three-group graph (20/40/20 scaled by 1 and 4), graph seed 0, "
+        "swing nodes, f = 1/s, k = 3, dt = 1e-3, unit step at node 1; simulate: "
+        "configs/three_group.json, seed 0, sizes scaled by 1 and 4, dt = 1e-3",
         "repeats": args.repeats,
         "thread_env": thread_env,
     }

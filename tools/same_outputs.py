@@ -13,13 +13,19 @@ and compares the two output trees file by file:
   [0, 1], scales [1], 20 grid points and ``sim.t_end`` 2;
 - ``experiment`` on that config with k = 200, where every cell fails with
   ``KTooLarge``;
+- ``simulate`` on that config with sizes scaled by 4 (n = 320), seed 0
+  and ``sim.t_end`` 4, where the full loop's output blocks are shorter
+  than the reduced loop's;
+- ``simulate`` on that config with explicit nodes 1/(1 + s), but
+  1/(1 - s) at node 1 and 1/(1 - s^2) at node 41, which exits with
+  ``Diverged`` (the reduced loop diverges first);
 - ``evaluate``, ``simulate`` and ``experiment --jobs 2`` on the configs of
   the ``evaluate-band``, ``simulate-step`` and ``experiment-pool``
   workloads of ``perfbench/workloads.py`` at benchmark seed 7.
 
 Every file that differs or exists on one side only is listed, and so is a
-command whose exit code differs; the exit status is 1 if there is any. The
-temporary directories are deleted.
+command whose exit code or standard error differs; the exit status is 1 if
+there is any. The temporary directories are deleted.
 """
 
 from __future__ import annotations
@@ -49,6 +55,14 @@ def runs():
     commands = ("generate", "reduce", "evaluate", "simulate", "experiment")
     out = [(f"three_group-{cmd}", base, cmd, 1) for cmd in commands]
     out.append(("three_group-k200-experiment", dict(base, k=200), "experiment", 1))
+    sizes = [4 * size for size in base["wsbm"]["sizes"]]
+    scaled = dict(base, seeds=[0], wsbm=dict(base["wsbm"], sizes=sizes), sim=dict(base["sim"], t_end=4.0))
+    out.append(("three_group-n320-simulate", scaled, "simulate", 1))
+    tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * sum(base["wsbm"]["sizes"])
+    tfs[1] = {"num": [1.0], "den": [1.0, -1.0]}
+    tfs[41] = {"num": [1.0], "den": [1.0, 0.0, -1.0]}
+    unstable = dict(base, nodes={"preset": "explicit", "tfs": tfs})
+    out.append(("three_group-diverging-simulate", unstable, "simulate", 1))
     for name in ("evaluate-band", "simulate-step", "experiment-pool"):
         w = WORKLOADS[name]
         out.append((name, w.make_config(BENCH_SEED), w.command, w.jobs))
@@ -56,7 +70,7 @@ def runs():
 
 
 def run_all(src, work, plan):
-    """Run every command of ``plan`` against ``src``; returns {run name: exit code}."""
+    """Run every command of ``plan`` against ``src``; returns {run name: (exit code, stderr)}."""
     codes = {}
     for name, config_path, command, jobs in plan:
         args = [command, "--config", config_path, "--out", os.path.join(work, name)]
@@ -66,7 +80,7 @@ def run_all(src, work, plan):
             [sys.executable, "-m", "netreduce.cli", *args],
             env=child_env(src), cwd=work, capture_output=True, text=True,
         )
-        codes[name] = proc.returncode
+        codes[name] = proc.returncode, proc.stderr
         print(f"# {os.path.basename(work)} {name}: exit {proc.returncode}", file=sys.stderr)
     return codes
 
@@ -96,9 +110,12 @@ def main(argv=None):
         for work, src in ((before, args.before), (after, os.path.join(ROOT, "src"))):
             os.mkdir(work)
             codes[work] = run_all(src, work, plan)
-        for name, code in codes[before].items():
-            if code != codes[after][name]:
-                differ.append(f"{name}: exit code {code} -> {codes[after][name]}")
+        for name, (code, err) in codes[before].items():
+            code_after, err_after = codes[after][name]
+            if code != code_after:
+                differ.append(f"{name}: exit code {code} -> {code_after}")
+            if err != err_after:
+                differ.append(f"{name}: standard error {err!r} -> {err_after!r}")
         names = tree_files(before) | tree_files(after)
         for rel in sorted(names):
             a, b = os.path.join(before, rel), os.path.join(after, rel)
