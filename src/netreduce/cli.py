@@ -27,7 +27,7 @@ from . import __version__
 from .config import build_model, load_config
 from .errors import ConfigError, NetreduceError
 from .evaluation import FreqGrid, band_error, band_suprema, passivity_check, sweep
-from .graphs import expected_laplacian, laplacian, sample_adjacency
+from .graphs import concentration, expected_laplacian, laplacian, sample_adjacency
 from .io import (
     append_matrix_csv,
     config_hash,
@@ -185,7 +185,7 @@ def _experiment_cell(args):
         model, params, _, reduced, found = _reduce_one(config, seed, scale)
         report = band_suprema(model, reduced, reduced.spectral, sweep(model, _grid(config)))
         l_blk, _ = expected_laplacian(params)
-        conc = float(np.abs(np.linalg.eigvalsh(model.laplacian - l_blk)).max())
+        conc = concentration(model.laplacian, l_blk)
         return {
             "scale": scale,
             "n": params.n,
@@ -291,6 +291,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        for option, value, least in (("--seed", args.seed, 0), ("--jobs", args.jobs, 1)):
+            if value is not None and value < least:
+                raise ConfigError(f"option '{option}': must be >= {least}")
         if args.seed is not None:
             config = dataclasses.replace(config, seeds=(args.seed,))
     except ConfigError as exc:

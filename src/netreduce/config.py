@@ -170,8 +170,8 @@ def config_from_dict(doc):
     grid_size = _number(doc, "grid_size", "", default=200, minimum=2, integer=True)
 
     seeds = doc.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(map(_is_int, seeds)):
-        raise ConfigError("config field 'seeds': expected a nonempty list of integers")
+    if not isinstance(seeds, list) or not seeds or any(not _is_int(s) or s < 0 for s in seeds):
+        raise ConfigError("config field 'seeds': expected a nonempty list of nonnegative integers")
     scales = doc.get("scales", [1])
     if not isinstance(scales, list) or not scales or any(
         not _is_int(s) or s < 1 for s in scales

@@ -40,7 +40,7 @@ from .errors import (
     NotPassiveOnGrid,
     PoleAtS,
 )
-from .transfer import log_grid, node_values
+from .transfer import checked_inverse, log_grid, node_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,29 +124,17 @@ def _aggregates(sw, partition):
 def eval_t_yu(model, s):
     """Closed-loop transfer matrix at ``s`` via (G^-1(s) + f(s) L)^-1.
 
-    Inverts the loop matrix h with ``np.linalg.inv`` (LU with partial
-    pivoting) and raises NearSingular unless its exact 1-norm reciprocal
-    condition number 1 / (||h||_1 ||h^-1||_1), read from that inverse, is
-    at least 1e-12; an exactly zero pivot reports rcond=0.00e+00, and a
-    non-finite h fails the check too.
+    Raises NearSingular where the loop matrix fails the 1-norm rcond rule
+    of ``transfer.checked_inverse``.
     """
     sw = _sweep_at(model, s)
     return _loop_inverse(model, s, sw.ginv[0], sw.f[0])
 
 
 def _loop_inverse(model, s, ginv, f):
-    n = model.n
     h = f * model.laplacian
-    h.flat[:: n + 1] += ginv
-    try:
-        inv = np.linalg.inv(h)
-    except np.linalg.LinAlgError as exc:
-        raise NearSingular(f"loop matrix at s={s}: rcond=0.00e+00") from exc
-    rcond = 1.0 / (np.abs(h).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
-    # a NaN fails the comparison too
-    if not rcond >= 1e-12:
-        raise NearSingular(f"loop matrix at s={s}: rcond={rcond:.2e}")
-    return inv
+    h.flat[:: model.n + 1] += ginv
+    return checked_inverse(h, NearSingular, f"loop matrix at s={s}")
 
 
 def _solve_each(a, b):

@@ -290,18 +290,19 @@ def block_spectrum_oracle(params):
     )
 
 
-def concentration_stat(params, seeds):
-    """Spectral norm of L(seed) - L_blk for each seed.
+def concentration(lap, l_blk):
+    """Spectral norm ||L - L_blk|| of a Laplacian's deviation from the expected one.
 
     The difference is symmetric, so the norm is the largest absolute
     eigenvalue from a dense symmetric eigendecomposition.
     """
+    return float(np.abs(np.linalg.eigvalsh(lap - l_blk)).max())
+
+
+def concentration_stat(params, seeds):
+    """``concentration`` of L(seed) for each seed."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     l_blk, _ = expected_laplacian(params)
-    out = []
-    for seed in seeds:
-        l = laplacian(sample_adjacency(params, seed))
-        out.append(float(np.abs(np.linalg.eigvalsh(l - l_blk)).max()))
-    return out
+    return [concentration(laplacian(sample_adjacency(params, seed)), l_blk) for seed in seeds]

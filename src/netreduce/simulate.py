@@ -1,9 +1,12 @@
 """Time-domain step-response simulation of full and reduced networks.
 
-Builds state-space realizations of the feedback loop y = G(u - f L y) and
-samples their step responses through the exact zero-order-hold
+Builds state-space realizations of the feedback loop y = G(u - f L y), from
+the per-node realizations and one realization of the coupling laid side by
+side, and samples their step responses through the exact zero-order-hold
 discretisation: with the input held constant, the sampled state obeys
-x_{j+1} = Phi x_j + Gamma with no truncation error. The reduced network is
+x_{j+1} = Phi x_j + Gamma with no truncation error. A loop whose
+feedthrough matrix I + D_G d_f L fails the 1-norm rcond rule of
+``transfer.checked_inverse`` is IllPosed. The reduced network is
 simulated in its own k-node form and compared to the full response after
 broadcasting through the partition; each aggregate node is realized from
 its members' inverses without multiplying their polynomials. A response
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Diverged, GridMismatch, IllPosed, ReductionFailed
-from .transfer import RationalTF
+from .transfer import RationalTF, checked_inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,74 +85,62 @@ def realize(tf):
     return StateSpace(a=a, b=b, c=c, d=[[d_gain]])
 
 
-def block_diag_nodes(nodes):
-    """Block-diagonal MIMO system of per-node SISO realizations."""
-    systems = [realize(g) if isinstance(g, RationalTF) else g for g in nodes]
-    n = len(systems)
-    ns = sum(s.a.shape[0] for s in systems)
-    a = np.zeros((ns, ns))
-    b = np.zeros((ns, n))
-    c = np.zeros((n, ns))
-    d = np.zeros((n, n))
-    pos = 0
-    for i, s in enumerate(systems):
-        r = s.a.shape[0]
-        a[pos : pos + r, pos : pos + r] = s.a
-        b[pos : pos + r, i] = s.b[:, 0]
-        c[i, pos : pos + r] = s.c[0]
-        d[i, i] = s.d[0, 0]
-        pos += r
-    return StateSpace(a=a, b=b, c=c, d=d)
+def _side_by_side(systems):
+    """SISO systems (RationalTF, realized here, or StateSpace) side by side: (a, b, c, d, owner).
 
-
-def coupling_block(coupling, l):
-    """MIMO realization of y -> f(s) (L y): one coupling copy per channel.
-
-    For an integrator coupling f = 1/s this is the minimal block
-    (A = 0_{n x n}, B = L, C = I, D = 0).
+    ``a`` is the block-diagonal matrix of their A's; ``b`` and ``c`` hold
+    each state's input and output weight, ``d`` each system's feedthrough
+    and ``owner`` each state's system, so that B[p, owner[p]] = b[p],
+    C[owner[p], p] = c[p] and D = diag(d) are the MIMO system's.
     """
-    f_ss = realize(coupling) if isinstance(coupling, RationalTF) else coupling
-    l = np.asarray(l, dtype=float)
-    n = l.shape[0]
-    r = f_ss.a.shape[0]
-    eye = np.eye(n)
-    a = np.kron(eye, f_ss.a)
-    b = np.kron(eye, f_ss.b) @ l
-    c = np.kron(eye, f_ss.c)
-    d = float(f_ss.d[0, 0]) * l
-    return StateSpace(a=a, b=b, c=c, d=d)
+    systems = [realize(s) if isinstance(s, RationalTF) else s for s in systems]
+    orders = [s.a.shape[0] for s in systems]
+    owner = np.repeat(np.arange(len(systems)), orders)
+    a = np.zeros((owner.size, owner.size))
+    pos = 0
+    for s, r in zip(systems, orders):
+        a[pos : pos + r, pos : pos + r] = s.a
+        pos += r
+    b = np.concatenate([s.b[:, 0] for s in systems])
+    c = np.concatenate([s.c[0] for s in systems])
+    return a, b, c, np.array([s.d[0, 0] for s in systems]), owner
 
 
 def close_loop(nodes, coupling, l):
     """Closed loop u -> y of the negative feedback y = G(u - f L y).
 
     ``nodes`` is a sequence of RationalTF or SISO StateSpace systems,
-    ``coupling`` the coupling dynamics, ``l`` the Laplacian. Raises IllPosed
-    when the feedthrough loop I + D_G D_H is singular.
-    """
-    plant = block_diag_nodes(nodes)
-    fb = coupling_block(coupling, l)
-    n = plant.c.shape[0]
-    w = np.eye(n) + plant.d @ fb.d
-    if np.linalg.cond(w) > 1e12:
-        raise IllPosed("feedthrough loop matrix is singular")
-    w_inv = np.linalg.solve(w, np.eye(n))
+    ``coupling`` the coupling dynamics, ``l`` the Laplacian. The state holds
+    the node states, then one copy of the coupling's states per node, both
+    in node order. Raises IllPosed unless the feedthrough loop matrix
+    W = I + D_G d_f L passes ``transfer.checked_inverse``.
 
-    ag, bg, cg, dg = plant.a, plant.b, plant.c, plant.d
-    ah, bh, ch, dh = fb.a, fb.b, fb.c, fb.d
-    # y = w_inv (cg x_g - dg ch x_h + dg u)
-    c_g = w_inv @ cg
-    c_h = -w_inv @ (dg @ ch)
-    d_u = w_inv @ dg
-    a = np.block(
-        [
-            [ag - bg @ dh @ c_g, -bg @ ch - bg @ dh @ c_h],
-            [bh @ c_g, ah + bh @ c_h],
-        ]
-    )
-    b = np.vstack([bg - bg @ dh @ d_u, bh @ d_u])
-    c = np.hstack([c_g, c_h])
-    return StateSpace(a=a, b=b, c=c, d=d_u)
+    A product with the block-diagonal plant or coupling copies has one
+    nonzero term per entry: it is a gather (``take`` keeps C order) times
+    the state weights, plus 0.0 for the +0.0 that the dense product sums.
+    So the bits are the dense formulas', but for the sign of a product
+    that underflows to zero, which BLAS may fuse into its sum.
+    """
+    l = np.asarray(l, dtype=float)
+    n = l.shape[0]
+    f = realize(coupling) if isinstance(coupling, RationalTF) else coupling
+    ag, bg, cg, dg, og = _side_by_side(nodes)
+    ah, bh, ch, _, oh = _side_by_side([f] * n)
+    dl = float(f.d[0, 0]) * l  # D_H
+    w = np.eye(n) + (dg[:, None] * dl + 0.0)
+    w_inv = checked_inverse(w, IllPosed, "feedthrough loop matrix is singular")
+    # y = w_inv (C_G x_G - D_G C_H x_H + D_G u)
+    c_g = w_inv.take(og, axis=1) * cg + 0.0
+    c_h = -w_inv.take(oh, axis=1) * (dg.take(oh) * ch + 0.0) + 0.0
+    d_u = w_inv * dg + 0.0
+    bg_dh = bg[:, None] * dl.take(og, axis=0) + 0.0
+    bh_l = bh[:, None] * l.take(oh, axis=0) + 0.0  # B_H
+    # B_G, and -B_G C_H, which joins each node to its own coupling copy only
+    b_g = np.where(og[:, None] == np.arange(n), bg[:, None], 0.0)
+    bg_ch = np.where(og[:, None] == oh, -bg[:, None] * ch + 0.0, 0.0)
+    a = np.block([[ag - bg_dh @ c_g, bg_ch - bg_dh @ c_h], [bh_l @ c_g, ah + bh_l @ c_h]])
+    b = np.vstack([b_g - bg_dh @ d_u, bh_l @ d_u])
+    return StateSpace(a=a, b=b, c=np.hstack([c_g, c_h]), d=d_u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,8 +541,8 @@ def realize_aggregate(members):
         q_sum[: q.size] += q
     if abs(q_sum[-1]) <= 1e-12 * max(abs(q[-1]) for q, _ in parts if q.size == q_sum.size):
         raise ReductionFailed("aggregation", f"member inverses cancel at s^{q_sum.size - 1}")
-    rem = block_diag_nodes([r for _, r in parts])
-    r_sum = StateSpace(rem.a, rem.b.sum(1, keepdims=True), rem.c.sum(0, keepdims=True), 0.0)
+    a, b, c, _, _ = _side_by_side([r for _, r in parts])
+    r_sum = StateSpace(a, b[:, None], c[None, :], 0.0)
     return close_loop([RationalTF((1.0,), q_sum)], r_sum, [[1.0]])
 
 

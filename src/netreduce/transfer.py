@@ -198,6 +198,22 @@ class NetworkModel:
         return len(self.nodes)
 
 
+def checked_inverse(h, error, what):
+    """h^-1 by LU; raises ``error`` ("``what``: rcond=...") unless the exact
+    1-norm rcond 1 / (||h||_1 ||h^-1||_1) is at least 1e-12. An exactly zero
+    pivot reports rcond=0.00e+00 and warns nothing; NaN fails the check.
+    """
+    try:
+        inv = np.linalg.inv(h)
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{what}: rcond=0.00e+00") from exc
+    rcond = 1.0 / (np.abs(h).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
+    # a NaN fails the comparison too
+    if not rcond >= 1e-12:
+        raise error(f"{what}: rcond={rcond:.2e}")
+    return inv
+
+
 def log_grid(omega_min, omega_max, n_points):
     """Strictly increasing logarithmic frequency grid."""
     if not (omega_min > 0 and omega_max > omega_min):

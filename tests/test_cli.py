@@ -157,6 +157,27 @@ class TestConfig:
             load_config(cfg)
         assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("command", ["generate", "reduce", "evaluate", "simulate", "experiment"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, command):
+        # numpy's generators take no negative seed
+        bad = write_config(tmp_path, base_config(seeds=[0, -1]))
+        with pytest.raises(ConfigError, match="'seeds'"):
+            load_config(bad)
+        good = write_config(tmp_path, base_config(), name="good.json")
+        out = tmp_path / "x"
+        assert main([command, "--config", bad, "--out", str(out)]) == 1
+        assert main([command, "--config", good, "--seed", "-1", "--out", str(out)]) == 1
+        assert "'--seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
+        out = tmp_path / "x"
+        args = ["experiment", "--config", write_config(tmp_path, base_config()), "--jobs", jobs]
+        assert main([*args, "--out", str(out)]) == 1
+        assert "'--jobs'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_input_node_outside_network(self, tmp_path):
         doc = base_config(sim={"dt": 1e-3, "t_end": 3.0, "input_node": 80})
         with pytest.raises(ConfigError, match="sim.input_node"):

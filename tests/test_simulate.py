@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netreduce import (
     Diverged,
@@ -17,6 +19,7 @@ from netreduce import (
     eval_t_hat_k,
     eval_t_yu,
     first_order_swing,
+    laplacian,
     lockstep,
     realize,
     realize_aggregate,
@@ -36,8 +39,9 @@ from netreduce.simulate import (
     _block_length,
     _expm,
     _run_length,
-    coupling_block,
+    _split_inverse,
 )
+from netreduce.transfer import checked_inverse
 
 from conftest import COUPLING_INTEGRATOR, make_swing_model
 
@@ -100,13 +104,18 @@ class TestCloseLoop:
         )
         assert loop.dims[0] == 0
 
-    def test_integrator_coupling_block_is_minimal(self):
-        l = np.array([[2.0, -2.0], [-2.0, 2.0]])
-        blk = coupling_block(COUPLING_INTEGRATOR, l)
-        np.testing.assert_allclose(blk.a, np.zeros((2, 2)))
-        np.testing.assert_allclose(blk.b, l)
-        np.testing.assert_allclose(blk.c, np.eye(2))
-        np.testing.assert_allclose(blk.d, np.zeros((2, 2)))
+    def test_integrator_coupling_adds_one_state_per_node(self):
+        # f = 1/s: one coupling state per node, x_h' = L y, and the
+        # coupling feeds no output or input through D
+        l = np.array([[2.0, -2.0, 0.0], [-2.0, 3.0, -1.0], [0.0, -1.0, 1.0]])
+        nodes = [first_order_swing(1.0, 0.5), first_order_swing(2.0, 1.0), first_order_swing(1.5, 1.5)]
+        loop = close_loop(nodes, COUPLING_INTEGRATOR, l)
+        assert loop.dims == (6, 3, 3)
+        np.testing.assert_array_equal(loop.a[3:, 3:], np.zeros((3, 3)))
+        np.testing.assert_array_equal(loop.a[3:, :3], l @ loop.c[:, :3])
+        np.testing.assert_array_equal(loop.b[3:], np.zeros((3, 3)))
+        np.testing.assert_array_equal(loop.c[:, 3:], np.zeros((3, 3)))
+        np.testing.assert_array_equal(loop.d, np.zeros((3, 3)))
 
     def test_closed_loop_matches_frequency_domain(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
@@ -122,6 +131,172 @@ class TestCloseLoop:
         # Laplacian, so drive the feedthrough singularity directly
         with pytest.raises(IllPosed):
             close_loop([UNIT_GAIN, UNIT_GAIN], UNIT_GAIN, -np.eye(2))
+
+    @pytest.mark.parametrize("eps,ill_posed", [(0.9e-12, True), (1.1e-12, False)])
+    def test_feedthrough_rcond_boundary(self, eps, ill_posed):
+        # static nodes of gain g and f = 1 on PATH2: W = I + g PATH2 has the
+        # eigenvalues 1 and 1 + 2g = eps, and a 1-norm rcond of eps within 1e-3
+        g = RationalTF(((eps - 1.0) / 2.0,), (1.0,))
+        if ill_posed:
+            with pytest.raises(IllPosed, match=r"rcond=9\.0\de-13"):
+                close_loop([g, g], UNIT_GAIN, PATH2)
+        else:
+            loop = close_loop([g, g], UNIT_GAIN, PATH2)
+            assert np.all(np.isfinite(loop.d))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [np.zeros((2, 2)), np.full((2, 2), np.nan)], ids=["singular", "nan"])
+    def test_checked_inverse_fails_singular_and_nan_quietly(self, w):
+        with pytest.raises(IllPosed, match="rcond="):
+            checked_inverse(w, IllPosed, "w")
+
+    def test_biproper_loop_with_feedthrough_matches_frequency_domain(self):
+        # D_G and d_f nonzero: W = I + D_G d_f L is not the identity
+        nodes = [RationalTF((1.0, 2.0), (3.0, 1.0)), RationalTF((0.5, 1.0), (1.0, 1.0)), RationalTF((0.4,), (1.0,))]
+        coupling = RationalTF((1.0, 0.5), (2.0, 1.0))
+        l = np.array([[1.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]])
+        loop = close_loop(nodes, coupling, l)
+        assert loop.dims == (5, 3, 3)
+        assert not np.allclose(loop.d, np.diag([2.0, 0.5, 0.4]))
+        for s in (0.1j, 1.0 + 1.0j, 10.0j):
+            ginv = np.diag([1.0 / tf_eval(g, s) for g in nodes])
+            want = np.linalg.inv(ginv + tf_eval(coupling, s) * l)
+            np.testing.assert_allclose(loop.freq_response(s), want, rtol=1e-12, atol=1e-13)
+
+
+def _dense_block_diag(systems):
+    """Dense (A, B, C, D) of SISO systems side by side: the MIMO plant of the reference."""
+    systems = [realize(g) if isinstance(g, RationalTF) else g for g in systems]
+    n = len(systems)
+    ns = sum(s.a.shape[0] for s in systems)
+    a, b, c, d = np.zeros((ns, ns)), np.zeros((ns, n)), np.zeros((n, ns)), np.zeros((n, n))
+    pos = 0
+    for i, s in enumerate(systems):
+        r = s.a.shape[0]
+        a[pos : pos + r, pos : pos + r] = s.a
+        b[pos : pos + r, i] = s.b[:, 0]
+        c[i, pos : pos + r] = s.c[0]
+        d[i, i] = s.d[0, 0]
+        pos += r
+    return a, b, c, d
+
+
+def _dense_close_loop(nodes, coupling, l):
+    """``close_loop`` by dense MIMO formulas: the reference of its gathers.
+
+    The plant is the dense block-diagonal system of the nodes, the coupling
+    n dense copies (I kron f) acting on L y, and every product is a matrix
+    product. W is inverted by solve(W, I) under the rcond rule of
+    ``transfer.checked_inverse``.
+    """
+    ag, bg, cg, dg = _dense_block_diag(nodes)
+    f = realize(coupling) if isinstance(coupling, RationalTF) else coupling
+    l = np.asarray(l, dtype=float)
+    eye = np.eye(len(nodes))
+    ah, bh, ch, dh = np.kron(eye, f.a), np.kron(eye, f.b) @ l, np.kron(eye, f.c), float(f.d[0, 0]) * l
+    w = eye + dg @ dh
+    try:
+        w_inv = np.linalg.solve(w, eye)
+    except np.linalg.LinAlgError as exc:
+        raise IllPosed("singular") from exc
+    if not 1.0 / (np.abs(w).sum(axis=0).max() * np.abs(w_inv).sum(axis=0).max()) >= 1e-12:
+        raise IllPosed("ill-conditioned")
+    c_g = w_inv @ cg
+    c_h = -w_inv @ (dg @ ch)
+    d_u = w_inv @ dg
+    a = np.block([[ag - bg @ dh @ c_g, -bg @ ch - bg @ dh @ c_h], [bh @ c_g, ah + bh @ c_h]])
+    b = np.vstack([bg - bg @ dh @ d_u, bh @ d_u])
+    return StateSpace(a=a, b=b, c=np.hstack([c_g, c_h]), d=d_u)
+
+
+def _dense_realize_aggregate(members):
+    """``realize_aggregate`` with its remainders summed from dense MIMO matrices."""
+    parts = [_split_inverse(g) for g in members]
+    q_sum = np.zeros(max(q.size for q, _ in parts))
+    for q, _ in parts:
+        q_sum[: q.size] += q
+    a, b, c, _ = _dense_block_diag([r for _, r in parts])
+    r_sum = StateSpace(a, b.sum(1, keepdims=True), c.sum(0, keepdims=True), 0.0)
+    return _dense_close_loop([RationalTF((1.0,), q_sum)], r_sum, [[1.0]])
+
+
+# coefficients with exact zeros, signs and ties, so that signed zeros and
+# exactly singular loops occur; none so small that a gathered product
+# underflows to zero (see test_underflowing_product_may_differ_in_the_sign_of_zero)
+_COEF = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0).filter(
+    lambda x: x == 0.0 or abs(x) >= 1e-100
+)
+_LEAD = st.sampled_from([-1.0, 0.5, 2.0])
+
+
+@st.composite
+def _node_tf(draw, kinds=("strictly proper", "biproper", "static")):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "static":
+        return RationalTF((draw(_COEF),), (1.0,))
+    order = draw(st.integers(1, 3))
+    den = [*draw(st.lists(_COEF, min_size=order, max_size=order)), 1.0]
+    num = draw(st.lists(_COEF, min_size=order, max_size=order))
+    return RationalTF(num + [draw(_LEAD)] if kind == "biproper" else num, den)
+
+
+# 1/s, two static gains, a biproper first order, and second orders
+# strictly proper and biproper
+_COUPLINGS = st.sampled_from([
+    COUPLING_INTEGRATOR,
+    RationalTF((0.7,), (1.0,)),
+    RationalTF((-1.0,), (1.0,)),
+    RationalTF((1.0, 0.5), (2.0, 1.0)),
+    RationalTF((1.0, -0.5), (1.0, 0.3, 1.0)),
+    RationalTF((0.0, 2.0, 1.0), (4.0, 0.0, 1.0)),
+])
+_NETWORK_NODES = st.integers(2, 30).flatmap(lambda n: st.lists(_node_tf(), min_size=n, max_size=n))
+
+
+def _assert_same_bytes(got, want):
+    for name in ("a", "b", "c", "d"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+class TestCloseLoopGathers:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_NETWORK_NODES, _COUPLINGS, st.integers(0, 2**32 - 1))
+    def test_bytes_equal_the_dense_formulas(self, nodes, coupling, seed):
+        # edge weights with ties, so that exactly singular loops occur
+        n = len(nodes)
+        rng = np.random.default_rng(seed)
+        adj = np.triu(rng.choice([0.0, 0.5, 1.0, 2.0, 0.3], (n, n)) * (rng.random((n, n)) < 0.5), 1)
+        l = laplacian(adj + adj.T)
+        try:
+            want = _dense_close_loop(nodes, coupling, l)
+        except IllPosed:
+            with pytest.raises(IllPosed):
+                close_loop(nodes, coupling, l)
+            return
+        _assert_same_bytes(close_loop(nodes, coupling, l), want)
+
+    def test_underflowing_product_may_differ_in_the_sign_of_zero(self):
+        # c = -5e-324: the gather rounds the product w_inv c to -0.0 before
+        # it adds 0.0, while BLAS fuses the product into its sum and keeps
+        # the sign of the exact tiny value when that term comes last
+        lap = laplacian(np.array([[0.0, 2.0, 0.5], [2.0, 0.0, 2.0], [0.5, 2.0, 0.0]]))
+        nodes = [RationalTF((-2.0,), (1.0,)), RationalTF((-2.0,), (-2.0, 1.0)), RationalTF((-5e-324,), (-2.0, 1.0))]
+        coupling = RationalTF((0.7,), (1.0,))
+        got, want = close_loop(nodes, coupling, lap), _dense_close_loop(nodes, coupling, lap)
+        for name in ("a", "b", "c", "d"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        differ = got.c.view(np.int64) != want.c.view(np.int64)
+        assert np.all(got.c[differ] == 0.0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(_node_tf(("strictly proper", "biproper")).filter(lambda g: any(g.num)), min_size=1, max_size=8))
+    def test_aggregate_bytes_equal_the_dense_formulas(self, members):
+        try:
+            got = realize_aggregate(members)
+        except ReductionFailed:
+            return  # the leading coefficients cancel before any loop is formed
+        _assert_same_bytes(got, _dense_realize_aggregate(members))
 
 
 class TestStepResponse:

@@ -1,11 +1,16 @@
-"""Per-stage timings of `simulate`: `step_response` and `write_matrix_csv`.
+"""Per-stage timings of `simulate`: `close_loop`, `step_response` and `write_matrix_csv`.
 
 Usage (from the repository root):
 
     python tools/bench_simulate.py --before OTHER/src [--repeats 3] [--tier1] [--out BENCH_simulate.json]
 
-Times, at n = 80 and 320 (the eq15 three-group graph, graph seed 0, scaled
-by 1 and 4) and for 4001 and 30001 samples at dt = 1e-3:
+Times, at n = 80, 320 and 1280 (the eq15 three-group graph, graph seed 0,
+scaled by 1, 4 and 16), ``close_loop`` of the full network and
+``realize_reduced`` of its reduction (k = 3), each scale in a fresh
+interpreter whose peak RSS after ``close_loop`` is recorded too; that
+figure includes sampling and reducing the model.
+
+Times, at n = 80 and 320 and for 4001 and 30001 samples at dt = 1e-3:
 
 - ``step_response`` of the full closed loop (2n states) and of the reduced
   loop (2k states);
@@ -45,19 +50,21 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SCALES = (1, 4)
+# scales of the close_loop and realize_reduced rows; n = 1280 builds its
+# loops only
+LOOP_SCALES = (1, 4, 16)
 SAMPLES = (4001, 30001)
 DT = 1e-3
 # (scale, samples) of the end-to-end `simulate` runs
 SIMULATE_RUNS = ((1, 4001), (4, 30001))
 
 
-def _loops(scale):
-    """Full and reduced loops of the eq15 graph scaled by ``scale``, and the partition."""
+def _reduced(scale):
+    """Swing-node model of the eq15 graph scaled by ``scale``, and its reduction."""
     import numpy as np
 
     from netreduce import NetworkModel, RationalTF, WsbmParams, laplacian, sample_adjacency
     from netreduce.reduction import run_algorithm_1
-    from netreduce.simulate import close_loop, realize_reduced
     from netreduce.transfer import sample_swing_nodes
 
     params = WsbmParams(
@@ -71,9 +78,51 @@ def _loops(scale):
         coupling=RationalTF((1.0,), (0.0, 1.0)),
         laplacian=laplacian(sample_adjacency(params, 0)),
     )
-    reduced = run_algorithm_1(model, 3, seed=0)
+    return model, run_algorithm_1(model, 3, seed=0)
+
+
+def _loops(scale):
+    """Full and reduced loops of the eq15 graph scaled by ``scale``, and the partition."""
+    from netreduce.simulate import close_loop, realize_reduced
+
+    model, reduced = _reduced(scale)
     full = close_loop(model.nodes, model.coupling, model.laplacian)
     return full, realize_reduced(reduced), reduced.partition
+
+
+def measure_loops(scale):
+    """Time ``close_loop`` and ``realize_reduced`` once at ``scale``, in this interpreter.
+
+    Returns their seconds and the peak RSS of this process after ``close_loop``.
+    """
+    import resource
+
+    import netreduce  # noqa: F401  (sets the one-thread BLAS default first)
+
+    from netreduce.simulate import close_loop, realize_reduced
+
+    model, reduced = _reduced(scale)
+    name = f"n={model.n}"
+    t0 = time.perf_counter()
+    close_loop(model.nodes, model.coupling, model.laplacian)
+    t1 = time.perf_counter()
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    realize_reduced(reduced)
+    t2 = time.perf_counter()
+    return {
+        "times": {f"close_loop/{name}": t1 - t0, f"realize_reduced/{name}": t2 - t1},
+        "peak_rss_mb": {f"close_loop/{name}": rss},
+    }
+
+
+def loop_stages(src):
+    """``measure_loops`` at each of ``LOOP_SCALES``, each in a fresh interpreter importing ``src``."""
+    out = {"times": {}, "peak_rss_mb": {}}
+    for scale in LOOP_SCALES:
+        res = _child(__file__, src, "--measure-loops", str(scale))
+        out["times"].update(res["times"])
+        out["peak_rss_mb"].update(res["peak_rss_mb"])
+    return out
 
 
 def measure():
@@ -158,9 +207,9 @@ def child_env(src):
     return env
 
 
-def _child(script, src):
+def _child(script, src, *args):
     out = subprocess.run(
-        [sys.executable, os.path.abspath(script), "--measure"],
+        [sys.executable, os.path.abspath(script), *(args or ["--measure"])],
         env=child_env(src), cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out.splitlines()[-1])
@@ -193,8 +242,9 @@ def parse_args(argv, doc, default_out):
     ap.add_argument("--tier1", action="store_true", help="also time each tree's tier-1 suite")
     ap.add_argument("--out", default=os.path.join(ROOT, default_out))
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--measure-loops", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if not args.measure and not args.before:
+    if not args.measure and args.measure_loops is None and not args.before:
         ap.error("--before is required")
     return args
 
@@ -283,13 +333,27 @@ def main(argv=None):
     if args.measure:
         print(json.dumps(measure()))
         return 0
-    stages, thread_env = compare(__file__, args.before, args.repeats, extra=simulate_end_to_end)
+    if args.measure_loops is not None:
+        print(json.dumps(measure_loops(args.measure_loops)))
+        return 0
+
+    def extra(src):
+        more = simulate_end_to_end(src)
+        loops = loop_stages(src)
+        more["times"].update(loops["times"])
+        more["peak_rss_mb"].update(loops["peak_rss_mb"])
+        return more
+
+    stages, thread_env = compare(__file__, args.before, args.repeats, extra=extra)
     doc = {
         "what": "wall time of each simulate stage, before and after, each run in a fresh "
-        "interpreter; wall time and peak RSS of the simulate command end to end",
-        "inputs": "stages: eq15 three-group graph (20/40/20 scaled by 1 and 4), graph seed 0, "
-        "swing nodes, f = 1/s, k = 3, dt = 1e-3, unit step at node 1; simulate: "
-        "configs/three_group.json, seed 0, sizes scaled by 1 and 4, dt = 1e-3",
+        "interpreter; peak RSS of the interpreter that built the full loop (close_loop rows, "
+        "model sampling and reduction included); wall time and peak RSS of the simulate "
+        "command end to end",
+        "inputs": "stages: eq15 three-group graph (20/40/20 scaled by 1 and 4; close_loop and "
+        "realize_reduced also by 16), graph seed 0, swing nodes, f = 1/s, k = 3, dt = 1e-3, "
+        "unit step at node 1; simulate: configs/three_group.json, seed 0, sizes scaled by 1 "
+        "and 4, dt = 1e-3",
         "repeats": args.repeats,
         "thread_env": thread_env,
     }

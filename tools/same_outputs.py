@@ -19,6 +19,10 @@ and compares the two output trees file by file:
 - ``simulate`` on that config with explicit nodes 1/(1 + s), but
   1/(1 - s) at node 1 and 1/(1 - s^2) at node 41, which exits with
   ``Diverged`` (the reduced loop diverges first);
+- ``simulate`` on that config with explicit biproper nodes (1 + s/2)/(1 + s)
+  and (2 + s)/(1 + 2s), alternating, and the biproper coupling
+  (1 + s/2)/(1/2 + s): a stable loop whose feedthrough loop matrix is not
+  the identity;
 - ``evaluate``, ``simulate`` and ``experiment --jobs 2`` on the configs of
   the ``evaluate-band``, ``simulate-step`` and ``experiment-pool``
   workloads of ``perfbench/workloads.py`` at benchmark seed 7.
@@ -63,6 +67,13 @@ def runs():
     tfs[41] = {"num": [1.0], "den": [1.0, 0.0, -1.0]}
     unstable = dict(base, nodes={"preset": "explicit", "tfs": tfs})
     out.append(("three_group-diverging-simulate", unstable, "simulate", 1))
+    biproper = [{"num": [1.0, 0.5], "den": [1.0, 1.0]}, {"num": [2.0, 1.0], "den": [1.0, 2.0]}]
+    feedthrough = dict(
+        base,
+        nodes={"preset": "explicit", "tfs": [biproper[i % 2] for i in range(sum(base["wsbm"]["sizes"]))]},
+        coupling={"num": [1.0, 0.5], "den": [0.5, 1.0]},
+    )
+    out.append(("three_group-biproper-simulate", feedthrough, "simulate", 1))
     for name in ("evaluate-band", "simulate-step", "experiment-pool"):
         w = WORKLOADS[name]
         out.append((name, w.make_config(BENCH_SEED), w.command, w.jobs))
