@@ -82,17 +82,13 @@ from .reduction import (
 from .simulate import (
     ComparisonReport,
     ResponseDeviation,
-    SimResult,
     StateSpace,
-    broadcast_outputs,
     close_loop,
-    compare_responses,
     lockstep,
     realize,
     realize_aggregate,
     realize_reduced,
     step_chunks,
-    step_response,
 )
 from .spectral import (
     SinThetaReport,

@@ -11,7 +11,7 @@ are ``EXPERIMENT_COLUMNS``; those of a band CSV are ``ErrorReport.COLUMNS``.
 
 Every command is a pure function of (config, seeds): re-running with the
 same inputs reproduces outputs byte for byte. Exit codes: 0 success, 1
-config validation error, 2 runtime failure.
+config or option error, 2 runtime failure (an OSError writing outputs too).
 """
 
 from __future__ import annotations
@@ -296,10 +296,13 @@ def main(argv=None):
                 raise ConfigError(f"option '{option}': must be >= {least}")
         if args.seed is not None:
             config = dataclasses.replace(config, seeds=(args.seed,))
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"option '--out': {exc.strerror}") from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    os.makedirs(args.out, exist_ok=True)
     serial = {
         "generate": cmd_generate,
         "reduce": cmd_reduce,
@@ -310,7 +313,7 @@ def main(argv=None):
         if args.command in serial:
             return serial[args.command](config, args.out)
         return cmd_experiment(config, args.out, jobs=args.jobs)
-    except NetreduceError as exc:
+    except (NetreduceError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

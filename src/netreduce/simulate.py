@@ -143,26 +143,6 @@ def close_loop(nodes, coupling, l):
     return StateSpace(a=a, b=b, c=np.hstack([c_g, c_h]), d=d_u)
 
 
-@dataclass(frozen=True, eq=False)
-class SimResult:
-    """Sampled step response: uniform times and one output column per node."""
-
-    times: np.ndarray = field(repr=False)
-    outputs: np.ndarray = field(repr=False)
-    input_spec: str = ""
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        y = np.asarray(self.outputs, dtype=float)
-        if t.ndim != 1 or y.shape[0] != t.size:
-            raise ValueError("times and outputs disagree")
-        dt = np.diff(t)
-        if t.size > 1 and (np.any(dt <= 0) or np.abs(dt - dt[0]).max() > 1e-9 * dt[0]):
-            raise ValueError("times must be strictly increasing and uniform")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("outputs must be finite")
-
-
 def sample_steps(t_end, dt):
     """Number of ``dt`` steps that reach ``t_end`` exactly.
 
@@ -388,20 +368,6 @@ def step_chunks(sys, input_node, t_end, dt, state_limit=1e12):
             del y  # a consumer done with the chunk frees it before the next
 
 
-def step_response(sys, input_node, t_end, dt, state_limit=1e12):
-    """The samples of ``step_chunks``, collected into one SimResult."""
-    out, row = None, 0
-    for _, y in step_chunks(sys, input_node, t_end, dt, state_limit):
-        if out is None:  # after the matrix exponential's temporaries are freed
-            out = np.empty((sample_steps(t_end, dt) + 1, y.shape[1]))
-        out[row : row + len(y)] = y
-        row += len(y)
-        del y  # freed before the next chunk is computed
-    return SimResult(
-        times=np.arange(len(out)) * dt, outputs=out, input_spec=f"unit step at node {input_node}"
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Per-node and per-group deviations between full and reduced responses."""
@@ -411,22 +377,24 @@ class ComparisonReport:
     full_l2: np.ndarray = field(repr=False, default=None)
 
 
-def broadcast_outputs(reduced_outputs, partition):
-    """Expand k aggregate output columns to n node columns via the partition."""
-    y = np.asarray(reduced_outputs, dtype=float)
-    if y.shape[1] != partition.k:
-        raise GridMismatch(f"reduced outputs have {y.shape[1]} columns, expected k={partition.k}")
-    return y[:, partition.assignment]
-
-
 class ResponseDeviation:
-    """The running sums of ``compare_responses``, fed a chunk of samples at a time.
+    """Relative L2 deviations of the full node outputs from the broadcast aggregates.
 
     ``add`` takes the next rows of the full outputs and of the k aggregate
-    outputs, with their times; ``report`` gives the ComparisonReport of all
-    rows added. Each sum adds its rows one after another, in time order,
-    whatever the chunks: the same sums, bit for bit, as numpy's
-    ``sum(axis=0)`` of the whole trajectory.
+    outputs, with their times, a chunk of samples at a time (an empty chunk
+    adds nothing); each node is compared with its group's aggregate column,
+    and times or shapes that disagree raise GridMismatch. ``report`` gives
+    the ComparisonReport of all rows added: per node
+    ||y_i - yhat_(i)||_2 / ||y_i||_2 over the trajectory, per group the
+    maximum over its member nodes. Each sum adds its rows one after
+    another, in time order, whatever the chunks: the same sums, bit for
+    bit, as numpy's ``sum(axis=0)`` of the whole trajectory.
+
+    The per-node figure includes the full network's own within-group
+    deviation y_i - mean over the group of y, which no group-broadcast output
+    can remove: a group whose members i, j differ by
+    ||y_i - y_j||_2 / (||y_i||_2 + ||y_j||_2) = r leaves one of them at
+    relative error >= r whatever the reduced model does.
     """
 
     def __init__(self, partition):
@@ -437,10 +405,14 @@ class ResponseDeviation:
     def add(self, times, outputs, red_times, red_outputs):
         t_f = np.asarray(times)
         t_r = np.asarray(red_times)
-        if t_f.size != t_r.size or np.abs(t_f - t_r).max() > 1e-9 * max(1.0, t_f[-1]):
+        if t_f.size != t_r.size or np.any(np.abs(t_f - t_r) > 1e-9 * np.maximum(1.0, t_f[-1:])):
             raise GridMismatch("time grids differ")
         y = np.asarray(outputs, dtype=float)
-        yhat = broadcast_outputs(red_outputs, self.partition)
+        y_r = np.asarray(red_outputs, dtype=float)
+        k = self.partition.k
+        if y_r.shape[1] != k:
+            raise GridMismatch(f"reduced outputs have {y_r.shape[1]} columns, expected k={k}")
+        yhat = y_r[:, self.partition.assignment]
         if y.shape != yhat.shape:
             raise GridMismatch(f"output shapes differ: {y.shape} vs {yhat.shape}")
         # row 0 carries the sum so far, and add.reduce adds the rows in order
@@ -459,25 +431,6 @@ class ResponseDeviation:
         per_node = np.where(base > 0, diff / np.where(base > 0, base, 1.0), np.where(diff > 0, np.inf, 0.0))
         per_group = np.array([per_node[idx].max() for idx in self.partition.blocks()])
         return ComparisonReport(per_node=per_node, per_group=per_group, full_l2=base)
-
-
-def compare_responses(full, reduced, partition):
-    """Relative L2 deviations between full node outputs and broadcast aggregates.
-
-    Per node: ||y_i - yhat_(i)||_2 / ||y_i||_2 over the trajectory; per
-    group: the maximum over member nodes. Requires matching time grids.
-    ``full`` and ``reduced`` are SimResults, folded into a
-    ``ResponseDeviation`` as one chunk.
-
-    The per-node figure includes the full network's own within-group
-    deviation y_i - mean over the group of y, which no group-broadcast output
-    can remove: a group whose members i, j differ by
-    ||y_i - y_j||_2 / (||y_i||_2 + ||y_j||_2) = r leaves one of them at
-    relative error >= r whatever the reduced model does.
-    """
-    deviation = ResponseDeviation(partition)
-    deviation.add(full.times, full.outputs, reduced.times, reduced.outputs)
-    return deviation.report()
 
 
 def lockstep(full, reduced):

@@ -5,7 +5,8 @@ import netreduce  # noqa: F401
 import numpy as np
 import pytest
 
-from netreduce import NetworkModel, RationalTF, WsbmParams, laplacian, sample_adjacency
+from netreduce import NetworkModel, RationalTF, WsbmParams, laplacian, sample_adjacency, step_chunks
+from netreduce.simulate import sample_steps
 from netreduce.transfer import sample_swing_nodes
 
 # block sizes, connection probabilities and weights of the synthetic
@@ -28,6 +29,24 @@ def make_swing_model(params, seed, coupling=COUPLING_INTEGRATOR):
     rng = np.random.default_rng([seed, 1])
     nodes, _, d = sample_swing_nodes(params.n, rng)
     return NetworkModel(nodes=nodes, coupling=coupling, laplacian=lap), 1.0 / d.min()
+
+
+def step_outputs(loop, input_node, t_end, dt, state_limit=1e12):
+    """Times and outputs of the ``step_chunks`` stream, collected into two arrays.
+
+    The output array is allocated after the first chunk, when the
+    temporaries of the matrix exponential are freed, and each chunk is
+    freed before the next is computed; so a traced peak counts the array
+    beside the stepper's own memory, not on top of its exponential.
+    """
+    out, row = None, 0
+    for _, y in step_chunks(loop, input_node, t_end, dt, state_limit):
+        if out is None:
+            out = np.empty((sample_steps(t_end, dt) + 1, y.shape[1]))
+        out[row : row + len(y)] = y
+        row += len(y)
+        del y
+    return np.arange(len(out)) * dt, out
 
 
 def random_wsbm(rng, k=None, strong=True):

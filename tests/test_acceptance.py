@@ -14,6 +14,8 @@ from netreduce import (
     FreqGrid,
     NetworkModel,
     Partition,
+    ResponseDeviation,
+    Sweep,
     WsbmParams,
     band_error,
     band_suprema,
@@ -21,9 +23,7 @@ from netreduce import (
     bottom_k_eig,
     cluster_embedding,
     close_loop,
-    compare_responses,
     eval_t_k,
-    eval_t_yu,
     eval_t_hat_k,
     expected_laplacian,
     laplacian,
@@ -34,14 +34,22 @@ from netreduce import (
     sample_adjacency,
     sin_theta,
     spectral_norm,
-    step_response,
     sweep,
     theorem1_bound,
 )
 from netreduce.cli import main
-from netreduce.transfer import node_values, sample_swing_nodes
+from netreduce.evaluation import _loop_inverse, _rank_k_cores
+from netreduce.transfer import sample_swing_nodes
 
-from conftest import COUPLING_INTEGRATOR, EQ15_Q, EQ15_SIZES, EQ15_W, make_swing_model, random_wsbm
+from conftest import (
+    COUPLING_INTEGRATOR,
+    EQ15_Q,
+    EQ15_SIZES,
+    EQ15_W,
+    make_swing_model,
+    random_wsbm,
+    step_outputs,
+)
 
 
 def _report(criterion, ok, detail):
@@ -72,13 +80,17 @@ class TestCriterion1:
             model, _ = _swing_model_from_params(params, trial)
             data = bottom_k_eig(model.laplacian, params.k)
             lam_next = data.lambda_next
-            num, den, _, _ = node_values(model.nodes, 1j * grid)
+            # one sweep of the trial's points, which gives each point the
+            # bits of the one-point eval_t_yu and eval_t_k
+            sw = Sweep(model, 1j * grid)
+            assert not sw.gaps
+            cores, singular = _rank_k_cores(data, sw.ginv, sw.f)
+            assert not singular.any()
             for f, w in enumerate(grid):
-                s = 1j * w
-                t_yu = eval_t_yu(model, s)
-                t_k = eval_t_k(model, data, s)
+                t_yu = _loop_inverse(model, 1j * w, sw.ginv[f], sw.f[f])
+                t_k = data.v_k @ cores[f]
                 m1 = spectral_norm(t_k)
-                m2 = max(abs(d / v) for d, v in zip(den[f].tolist(), num[f].tolist()))
+                m2 = max(abs(d / v) for d, v in zip(sw.den[f].tolist(), sw.num[f].tolist()))
                 bound = theorem1_bound(m1, m2, 1.0 / w, lam_next)
                 if bound is None:
                     continue
@@ -282,11 +294,12 @@ def sim_results(eq15_params):
             continue
         full_loop = close_loop(model.nodes, model.coupling, model.laplacian)
         red_loop = realize_reduced(reduced)
-        full = step_response(full_loop, 1, t_end=30.0, dt=1e-3)
+        times, full = step_outputs(full_loop, 1, t_end=30.0, dt=1e-3)
         group_in = int(reduced.partition.assignment[1])
-        red = step_response(red_loop, group_in, t_end=30.0, dt=1e-3)
-        report = compare_responses(full, red, reduced.partition)
-        results.append((reduced, full, red, report))
+        red_times, red = step_outputs(red_loop, group_in, t_end=30.0, dt=1e-3)
+        deviation = ResponseDeviation(reduced.partition)
+        deviation.add(times, full, red_times, red)
+        results.append((reduced, full, red, deviation.report()))
     return results
 
 
@@ -299,7 +312,7 @@ class TestCriterion8:
         min_sep = np.inf
         for reduced, full, _, _ in sim_results:
             blocks = reduced.partition.blocks()
-            means = np.stack([full.outputs[:, idx].mean(axis=1) for idx in blocks])
+            means = np.stack([full[:, idx].mean(axis=1) for idx in blocks])
             for i in range(3):
                 for j in range(i + 1, 3):
                     sep = np.abs(means[i] - means[j]).max() / np.abs(means[[i, j]]).max()
@@ -317,11 +330,10 @@ class TestCriterion8:
         max_errs = []
         max_raw = []
         floors = []
-        for reduced, full, red, report in sim_results:
+        for reduced, y, red, report in sim_results:
             part = reduced.partition
-            y = full.outputs
             means = np.stack([y[:, idx].mean(axis=1) for idx in part.blocks()], axis=1)
-            diff = (means - red.outputs)[:, part.assignment]
+            diff = (means - red)[:, part.assignment]
             per_node = np.sqrt((diff**2).sum(axis=0)) / report.full_l2
             max_errs.append(float(per_node.max()))
             if per_node.max() <= 0.15:

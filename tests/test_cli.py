@@ -13,10 +13,10 @@ from netreduce.config import build_model, config_from_dict, load_config
 from netreduce.errors import ConfigError
 from netreduce.io import read_matrix_csv
 from netreduce.reduction import run_algorithm_1
-from netreduce.simulate import realize_reduced, step_response
+from netreduce.simulate import realize_reduced
 from netreduce.spectral import _DENSE_MAX_N
 
-from conftest import EQ15_Q, EQ15_SIZES, EQ15_W
+from conftest import EQ15_Q, EQ15_SIZES, EQ15_W, step_outputs
 
 
 def base_config(**overrides):
@@ -178,6 +178,17 @@ class TestConfig:
         assert "'--jobs'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_that_cannot_be_a_directory_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an existing file, and a path below one; reported before any work
+        monkeypatch.setattr("netreduce.cli.sample_adjacency", None)
+        cfg = write_config(tmp_path, base_config())
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        for out, reason in ((blocker, "File exists"), (blocker / "run", "Not a directory")):
+            assert main(["generate", "--config", cfg, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: option '--out': {reason}\n"
+        assert blocker.read_text() == "kept"
+
     def test_input_node_outside_network(self, tmp_path):
         doc = base_config(sim={"dt": 1e-3, "t_end": 3.0, "input_node": 80})
         with pytest.raises(ConfigError, match="sim.input_node"):
@@ -228,6 +239,16 @@ class TestGenerate:
         main(["generate", "--config", cfg, "--out", str(out1)])
         main(["generate", "--config", cfg, "--out", str(out2)])
         assert tree_bytes(out1) == tree_bytes(out2)
+
+    def test_os_error_while_writing_exit_code(self, tmp_path, capsys):
+        # the manifest's path is taken by a directory
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "run"
+        (out / "manifest.json").mkdir(parents=True)
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: IsADirectoryError: ")
+        assert "manifest.json" in err
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -373,12 +394,12 @@ class TestSimulate:
             cells = line.split(",")
             assert cells[1:] == [cells[1 + first[g]] for g in assignment]
         sim = config.sim
-        expected = step_response(
+        times, outputs = step_outputs(
             realize_reduced(reduced), int(assignment[sim.input_node]), sim.t_end, sim.dt
         )
-        np.testing.assert_array_equal(red[:, 0], expected.times)
+        np.testing.assert_array_equal(red[:, 0], times)
         groups = red[:, [1 + j for j in first]]
-        np.testing.assert_allclose(groups, expected.outputs, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(groups, outputs, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize(
         "unstable,when",

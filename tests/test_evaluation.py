@@ -123,6 +123,21 @@ class TestEvalTk:
         t_k = eval_t_k(model, data, s)
         assert np.abs(t_yu - t_k).max() <= 1e-8 * np.abs(t_yu).max()
 
+    @pytest.mark.parametrize("n,k", [(30, 2), (60, 4)])
+    def test_one_sweep_gives_the_one_point_bits(self, n, k):
+        # the loop inverse and the stacked rank-k cores of one sweep over
+        # many points equal eval_t_yu and eval_t_k at each point, bit for bit
+        model = _random_model(n, 7)
+        data = bottom_k_eig(model.laplacian, k)
+        grid = log_grid(1e-3, 10.0, 50)
+        sw = evaluation.Sweep(model, 1j * grid)
+        cores, singular = evaluation._rank_k_cores(data, sw.ginv, sw.f)
+        assert not singular.any()
+        for f, w in enumerate(grid):
+            t_yu = evaluation._loop_inverse(model, 1j * w, sw.ginv[f], sw.f[f])
+            np.testing.assert_array_equal(t_yu, eval_t_yu(model, 1j * w))
+            np.testing.assert_array_equal(data.v_k @ cores[f], eval_t_k(model, data, 1j * w))
+
     def test_identical_nodes_coherent_rank_one(self):
         # k=1 with identical nodes: T_1(s) = ghat(s) * ones / via v1 = 1/sqrt(n)
         g = first_order_swing(1.0, 1.0)

@@ -10,12 +10,11 @@ from netreduce import (
     GridMismatch,
     IllPosed,
     NetworkModel,
+    Partition,
     RationalTF,
     ReducedModel,
     ReductionFailed,
-    broadcast_outputs,
     close_loop,
-    compare_responses,
     eval_t_hat_k,
     eval_t_yu,
     first_order_swing,
@@ -26,7 +25,6 @@ from netreduce import (
     realize_reduced,
     run_algorithm_1,
     step_chunks,
-    step_response,
     tf_eval,
 )
 from netreduce import simulate
@@ -34,7 +32,6 @@ from netreduce.config import build_model, config_from_dict
 from netreduce.simulate import (
     _BLOCK_MAX,
     ResponseDeviation,
-    SimResult,
     StateSpace,
     _block_length,
     _expm,
@@ -43,7 +40,7 @@ from netreduce.simulate import (
 )
 from netreduce.transfer import checked_inverse
 
-from conftest import COUPLING_INTEGRATOR, make_swing_model
+from conftest import COUPLING_INTEGRATOR, make_swing_model, step_outputs
 
 UNIT_GAIN = RationalTF((1.0,), (1.0,))
 PATH2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -302,26 +299,25 @@ class TestCloseLoopGathers:
 class TestStepResponse:
     def test_first_order_closed_form(self):
         ss = realize(RationalTF((1.0,), (1.0, 1.0)))
-        sim = step_response(ss, 0, t_end=5.0, dt=1e-3)
-        expected = 1.0 - np.exp(-sim.times)
-        assert np.abs(sim.outputs[:, 0] - expected).max() <= 1e-12
+        t, y = step_outputs(ss, 0, t_end=5.0, dt=1e-3)
+        assert np.abs(y[:, 0] - (1.0 - np.exp(-t))).max() <= 1e-12
 
     def test_static_gain_constant_output(self):
         ss = realize(RationalTF((2.0,), (1.0,)))
-        sim = step_response(ss, 0, t_end=1.0, dt=0.01)
-        np.testing.assert_allclose(sim.outputs, 2.0)
+        _, y = step_outputs(ss, 0, t_end=1.0, dt=0.01)
+        np.testing.assert_allclose(y, 2.0)
 
     def test_divergence_detected(self):
         ss = StateSpace(a=[[1.0]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
         with pytest.raises(Diverged):
-            step_response(ss, 0, t_end=80.0, dt=0.01, state_limit=1e6)
+            step_outputs(ss, 0, t_end=80.0, dt=0.01, state_limit=1e6)
 
     def test_divergence_reported_at_first_step_past_limit(self):
         # x' = 5x + 1 from rest: x(t) = (e^{5t} - 1) / 5 first exceeds 1e6
         # between t = 3.08 and t = 3.09
         ss = StateSpace(a=[[5.0]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
         with pytest.raises(Diverged, match=r"at t=3\.09$"):
-            step_response(ss, 0, t_end=5.0, dt=0.01, state_limit=1e6)
+            step_outputs(ss, 0, t_end=5.0, dt=0.01, state_limit=1e6)
 
     # 500 samples in blocks of 16: the last block holds samples 497-500
     @pytest.mark.parametrize(
@@ -335,7 +331,7 @@ class TestStepResponse:
         _, peaks = _per_sample(ss, 0, 500, 0.01)
         limit = (peaks[first_bad - 1] + peaks[first_bad]) / 2
         with pytest.raises(Diverged, match=rf"at t={first_bad * 0.01:g}$"):
-            step_response(ss, 0, t_end=5.0, dt=0.01, state_limit=limit)
+            step_outputs(ss, 0, t_end=5.0, dt=0.01, state_limit=limit)
 
     def test_divergence_on_network_names_the_per_sample_recurrence_sample(self, eq15_loops):
         # the eq15 loop shifted to grow as e^{2t}
@@ -349,7 +345,7 @@ class TestStepResponse:
         block = _block_length(1000, ss.dims[0])
         print(f"first bad sample {first_bad}: sample {(first_bad - 1) % block + 1} of a block of {block}")
         with pytest.raises(Diverged, match=rf"at t={first_bad * 0.01:g}$"):
-            step_response(ss, 1, t_end=10.0, dt=0.01, state_limit=limit)
+            step_outputs(ss, 1, t_end=10.0, dt=0.01, state_limit=limit)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fast_divergence_raises_no_runtime_warning(self):
@@ -357,55 +353,55 @@ class TestStepResponse:
         # sample already exceeds the limit
         ss = StateSpace(a=[[50.0]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
         with pytest.raises(Diverged, match=r"at t=1$"):
-            step_response(ss, 0, t_end=40.0, dt=1.0)
+            step_outputs(ss, 0, t_end=40.0, dt=1.0)
 
     def test_blocks_stepped_one_sample_at_a_time_keep_their_outputs(self):
         # 1 - e^{-t} ends just below the limit, so the state bound of the
         # blocks after t = 3.8 exceeds it and they are stepped sample by sample
         ss = realize(RationalTF((1.0,), (1.0, 1.0)))
-        sim = step_response(ss, 0, t_end=5.0, dt=1e-3, state_limit=1.0 - np.exp(-5.0) + 1e-9)
-        assert np.abs(sim.outputs[:, 0] - (1.0 - np.exp(-sim.times))).max() <= 1e-12
+        t, y = step_outputs(ss, 0, t_end=5.0, dt=1e-3, state_limit=1.0 - np.exp(-5.0) + 1e-9)
+        assert np.abs(y[:, 0] - (1.0 - np.exp(-t))).max() <= 1e-12
 
     def test_exact_at_every_step_size(self):
         # (s + 2) / ((s + 1)(s + 2)) has the step response 1 - e^{-t}
         # whatever dt samples it
         ss = realize(RationalTF((2.0, 1.0), (2.0, 3.0, 1.0)))
-        sims = {dt: step_response(ss, 0, t_end=2.0, dt=dt) for dt in (0.08, 0.04, 0.02)}
-        for sim in sims.values():
-            assert np.abs(sim.outputs[:, 0] - (1.0 - np.exp(-sim.times))).max() <= 1e-12
-        assert np.abs(sims[0.08].outputs - sims[0.02].outputs[::4]).max() <= 1e-12
+        sims = {dt: step_outputs(ss, 0, t_end=2.0, dt=dt) for dt in (0.08, 0.04, 0.02)}
+        for t, y in sims.values():
+            assert np.abs(y[:, 0] - (1.0 - np.exp(-t))).max() <= 1e-12
+        assert np.abs(sims[0.08][1] - sims[0.02][1][::4]).max() <= 1e-12
 
     def test_step_size_convergence_on_network(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
         loop = close_loop(model.nodes, model.coupling, model.laplacian)
-        a = step_response(loop, 1, t_end=2.0, dt=2e-3).outputs
-        b = step_response(loop, 1, t_end=2.0, dt=1e-3).outputs
+        _, a = step_outputs(loop, 1, t_end=2.0, dt=2e-3)
+        _, b = step_outputs(loop, 1, t_end=2.0, dt=1e-3)
         assert np.abs(a - b[::2]).max() <= 1e-10
 
     def test_input_node_out_of_range(self):
         ss = realize(RationalTF((1.0,), (1.0, 1.0)))
         with pytest.raises(ValueError):
-            step_response(ss, 3, t_end=1.0, dt=0.01)
+            step_outputs(ss, 3, t_end=1.0, dt=0.01)
 
     @pytest.mark.parametrize("dt", [0.4, 0.3])
     def test_horizon_must_be_whole_steps(self, dt):
         ss = realize(RationalTF((1.0,), (1.0, 1.0)))
         with pytest.raises(ValueError, match="does not divide"):
-            step_response(ss, 0, t_end=1.0, dt=dt)
+            step_outputs(ss, 0, t_end=1.0, dt=dt)
 
     def test_horizon_within_roundoff_reaches_t_end(self):
         # 0.3 / 0.1 = 2.9999999999999996: three steps, ending at t_end
         ss = realize(RationalTF((1.0,), (1.0, 1.0)))
-        sim = step_response(ss, 0, t_end=0.3, dt=0.1)
-        assert sim.times.size == 4
-        assert sim.times[-1] == pytest.approx(0.3, rel=1e-12)
+        t, _ = step_outputs(ss, 0, t_end=0.3, dt=0.1)
+        assert t.size == 4
+        assert t[-1] == pytest.approx(0.3, rel=1e-12)
 
 
 def _per_sample(loop, node, steps, dt, dtype=np.float64):
     """Outputs and largest state magnitudes of x = Phi x + Gamma, one sample at a time.
 
     Phi and Gamma are the float64 blocks of the Van Loan exponential that
-    ``step_response`` takes; the recurrence runs in ``dtype``.
+    ``step_chunks`` takes; the recurrence runs in ``dtype``.
     """
     ns = loop.dims[0]
     aug = np.zeros((ns + 1, ns + 1))
@@ -465,9 +461,9 @@ class TestBlockStepper:
         loop, node = (full, 1) if loop_name == "full" else (reduced, group_in)
         dt = 1e-3
         ref, _ = _per_sample(loop, node, steps, dt, dtype)
-        sim = step_response(loop, node, t_end=steps * dt, dt=dt)
-        assert sim.outputs.shape == ref.shape
-        err = np.abs(sim.outputs - ref).max() / np.abs(ref).max()
+        _, y = step_outputs(loop, node, t_end=steps * dt, dt=dt)
+        assert y.shape == ref.shape
+        err = np.abs(y - ref).max() / np.abs(ref).max()
         block = _block_length(steps, loop.dims[0])
         print(f"{loop_name} loop, {steps} steps in blocks of {block}, "
               f"{steps % block} past the last whole block: {err:.2e} of max|y| (<= 1e-12)")
@@ -485,7 +481,7 @@ class TestBlockStepper:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            step_response(loop, 1, t_end=4.0, dt=1e-3)
+            step_outputs(loop, 1, t_end=4.0, dt=1e-3)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -498,11 +494,11 @@ class TestBlockStepper:
         # the shortest runs that keep OpenBLAS off its small-matrix kernel
         full, reduced, group_in = eq15_loops
         loop, node = (full, 1) if loop_name == "full" else (reduced, group_in)
-        ref = step_response(loop, node, t_end=steps * 1e-3, dt=1e-3)
+        ref_t, ref_y = step_outputs(loop, node, t_end=steps * 1e-3, dt=1e-3)
         monkeypatch.setattr(simulate, "_run_length", lambda ns, width: max(2, -(-1201 // width)))
         chunks = list(step_chunks(loop, node, steps * 1e-3, 1e-3))
-        np.testing.assert_array_equal(np.concatenate([t for t, _ in chunks]), ref.times)
-        np.testing.assert_array_equal(np.concatenate([y for _, y in chunks]), ref.outputs)
+        np.testing.assert_array_equal(np.concatenate([t for t, _ in chunks]), ref_t)
+        np.testing.assert_array_equal(np.concatenate([y for _, y in chunks]), ref_y)
 
     def test_chunks_stay_short(self, eq15_loops):
         full, _, _ = eq15_loops
@@ -647,6 +643,13 @@ class TestRealizeReduced:
             np.testing.assert_array_equal(getattr(again, name), getattr(loop, name))
 
 
+def _compare(partition, times, outputs, red_times, red_outputs):
+    """The ComparisonReport of one ``ResponseDeviation.add`` of whole trajectories."""
+    deviation = ResponseDeviation(partition)
+    deviation.add(times, outputs, red_times, red_outputs)
+    return deviation.report()
+
+
 class TestCompareResponses:
     def test_self_comparison_is_zero(self, eq15_params):
         # full outputs constant over each group equal their broadcast aggregates
@@ -654,50 +657,67 @@ class TestCompareResponses:
         reduced = run_algorithm_1(model, 3, seed=0)
         times = np.arange(11) * 0.1
         groups = np.random.default_rng(0).standard_normal((11, reduced.k))
-        full = SimResult(times=times, outputs=groups[:, reduced.partition.assignment])
-        same = SimResult(times=times, outputs=groups)
-        report = compare_responses(full, same, reduced.partition)
+        report = _compare(reduced.partition, times, groups[:, reduced.partition.assignment], times, groups)
         np.testing.assert_allclose(report.per_node, 0.0)
         np.testing.assert_allclose(report.per_group, 0.0)
 
     def test_grid_mismatch_detected(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
         reduced = run_algorithm_1(model, 3, seed=0)
-        a = SimResult(times=np.arange(5) * 0.1, outputs=np.zeros((5, model.n)))
-        b = SimResult(times=np.arange(6) * 0.1, outputs=np.zeros((6, model.n)))
-        with pytest.raises(GridMismatch):
-            compare_responses(a, b, reduced.partition)
+        deviation = ResponseDeviation(reduced.partition)
+        t5, t6 = np.arange(5) * 0.1, np.arange(6) * 0.1
+        y5, y6 = np.zeros((5, model.n)), np.zeros((6, model.n))
+        for times, outputs, red_times, red_outputs in (
+            (t5, y5, t6, np.zeros((6, 3))),  # grids of different length
+            (t5, y5, t5 + 0.05, np.zeros((5, 3))),  # shifted grid
+            (t6, y6, t6, np.zeros((5, 3))),  # fewer reduced rows than times
+        ):
+            with pytest.raises(GridMismatch):
+                deviation.add(times, outputs, red_times, red_outputs)
+        np.testing.assert_array_equal(deviation.base, 0.0)
+        np.testing.assert_array_equal(deviation.diff, 0.0)
 
     def test_fold_in_chunks_is_bit_equal_to_whole_trajectory_sums(self, eq15_params, eq15_loops):
         model, _ = make_swing_model(eq15_params, seed=0)
         partition = run_algorithm_1(model, 3, seed=0).partition
         full_loop, red_loop, group_in = eq15_loops
-        full = step_response(full_loop, 1, t_end=4.0, dt=1e-3)
-        red = step_response(red_loop, group_in, t_end=4.0, dt=1e-3)
-        whole = compare_responses(full, red, partition)
-        y, yhat = full.outputs, red.outputs[:, partition.assignment]
+        t, y = step_outputs(full_loop, 1, t_end=4.0, dt=1e-3)
+        t_r, y_r = step_outputs(red_loop, group_in, t_end=4.0, dt=1e-3)
+        whole = _compare(partition, t, y, t_r, y_r)
+        yhat = y_r[:, partition.assignment]
         np.testing.assert_array_equal(whole.full_l2, np.sqrt((y**2).sum(axis=0)))
         np.testing.assert_array_equal(whole.per_node, np.sqrt(((y - yhat) ** 2).sum(axis=0)) / whole.full_l2)
 
         deviation = ResponseDeviation(partition)
         cuts = [0, 1, 2, 515, 1000, 3999, 4001]
         for r0, r1 in zip(cuts, cuts[1:]):
-            t = full.times[r0:r1]
-            deviation.add(t, full.outputs[r0:r1], t, red.outputs[r0:r1])
+            deviation.add(t[r0:r1], y[r0:r1], t_r[r0:r1], y_r[r0:r1])
         chunked = deviation.report()
+        np.testing.assert_array_equal(chunked.full_l2, whole.full_l2)
         np.testing.assert_array_equal(chunked.per_node, whole.per_node)
         np.testing.assert_array_equal(chunked.per_group, whole.per_group)
 
+    def test_empty_chunk_adds_nothing(self):
+        rng = np.random.default_rng(1)
+        t = np.arange(7) * 0.1
+        deviation = ResponseDeviation(Partition(np.array([0, 1, 0, 2, 1]), 3))
+        empty = np.empty(0), np.empty((0, 5)), np.empty(0), np.empty((0, 3))
+        deviation.add(*empty)  # before any row
+        deviation.add(t, rng.standard_normal((7, 5)), t, rng.standard_normal((7, 3)))
+        base, diff = deviation.base.copy(), deviation.diff.copy()
+        deviation.add(*empty)
+        np.testing.assert_array_equal(deviation.base, base)
+        np.testing.assert_array_equal(deviation.diff, diff)
+
     def test_lockstep_pairs_the_same_samples(self, eq15_loops):
         full_loop, red_loop, group_in = eq15_loops
-        full = step_response(full_loop, 1, t_end=4.0, dt=1e-3)
-        red = step_response(red_loop, group_in, t_end=4.0, dt=1e-3)
+        refs = (*step_outputs(full_loop, 1, 4.0, 1e-3), *step_outputs(red_loop, group_in, 4.0, 1e-3))
         pairs = list(
             lockstep(step_chunks(full_loop, 1, 4.0, 1e-3), step_chunks(red_loop, group_in, 4.0, 1e-3))
         )
         # the two streams cut their rows differently
         assert len(pairs) > len(list(step_chunks(full_loop, 1, 4.0, 1e-3)))
-        for i, ref in ((0, full.times), (1, full.outputs), (2, red.times), (3, red.outputs)):
+        for i, ref in enumerate(refs):
             np.testing.assert_array_equal(np.concatenate([p[i] for p in pairs]), ref)
 
     def test_lockstep_streams_of_different_length(self, eq15_loops):
@@ -716,7 +736,7 @@ class TestCompareResponses:
 
         full, red = loop(full_rate), loop(red_rate)
         with pytest.raises(Diverged) as alone:
-            step_response(full if full_rate else red, 0, t_end=40.0, dt=0.01, state_limit=1e6)
+            step_outputs(full if full_rate else red, 0, t_end=40.0, dt=0.01, state_limit=1e6)
         with pytest.raises(Diverged) as both:
             list(lockstep(*(step_chunks(ss, 0, 40.0, 0.01, state_limit=1e6) for ss in (full, red))))
         assert str(both.value) == str(alone.value)
@@ -727,10 +747,10 @@ class TestCompareResponses:
         red_loop = realize_reduced(reduced)
         assert red_loop.dims == (6, 3, 3)  # k aggregate nodes + k coupling states
         full_loop = close_loop(model.nodes, model.coupling, model.laplacian)
-        full = step_response(full_loop, 1, t_end=10.0, dt=1e-3)
+        full = step_outputs(full_loop, 1, t_end=10.0, dt=1e-3)
         group = int(reduced.partition.assignment[1])
-        red = step_response(red_loop, group, t_end=10.0, dt=1e-3)
-        report = compare_responses(full, red, reduced.partition)
+        red = step_outputs(red_loop, group, t_end=10.0, dt=1e-3)
+        report = _compare(reduced.partition, *full, *red)
         # all but the disturbed node's transient track well
         assert np.median(report.per_node) <= 0.1
         assert report.per_node.shape == (model.n,)
@@ -748,16 +768,24 @@ class TestCompareResponses:
         nodes, _, _ = sample_swing_nodes(n, rng)
         model = NetworkModel(nodes=nodes, coupling=COUPLING_INTEGRATOR, laplacian=lap_fn(a))
         loop = close_loop(model.nodes, model.coupling, model.laplacian)
-        sim = step_response(loop, 0, t_end=60.0, dt=1e-3)
-        final = sim.outputs[-1]
+        _, y = step_outputs(loop, 0, t_end=60.0, dt=1e-3)
+        final = y[-1]
         assert final.max() - final.min() <= 1e-3
 
     def test_broadcast_shapes(self, eq15_params):
+        # k aggregate columns are gathered to n node columns; any other
+        # width is rejected before the sums change
         model, _ = make_swing_model(eq15_params, seed=0)
-        reduced = run_algorithm_1(model, 3, seed=0)
-        y = np.zeros((7, 3))
-        wide = broadcast_outputs(y, reduced.partition)
-        assert wide.shape == (7, model.n)
+        partition = run_algorithm_1(model, 3, seed=0).partition
+        t = np.arange(7) * 0.1
+        y_red = np.random.default_rng(2).standard_normal((7, 3))
+        y = np.zeros((7, model.n))
+        deviation = ResponseDeviation(partition)
+        deviation.add(t, y, t, y_red)
+        assert deviation.diff.shape == (model.n,)
+        np.testing.assert_array_equal(deviation.diff, (y_red[:, partition.assignment] ** 2).sum(axis=0))
+        diff = deviation.diff.copy()
         for width in (5, model.n):
-            with pytest.raises(GridMismatch):
-                broadcast_outputs(np.zeros((7, width)), reduced.partition)
+            with pytest.raises(GridMismatch, match="columns"):
+                deviation.add(t, y, t, np.zeros((7, width)))
+        np.testing.assert_array_equal(deviation.diff, diff)

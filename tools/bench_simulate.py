@@ -1,4 +1,4 @@
-"""Per-stage timings of `simulate`: `close_loop`, `step_response` and `write_matrix_csv`.
+"""Per-stage timings of `simulate`: `close_loop`, the step response and `write_matrix_csv`.
 
 Usage (from the repository root):
 
@@ -12,8 +12,10 @@ figure includes sampling and reducing the model.
 
 Times, at n = 80 and 320 and for 4001 and 30001 samples at dt = 1e-3:
 
-- ``step_response`` of the full closed loop (2n states) and of the reduced
-  loop (2k states);
+- the step response of the full closed loop (2n states) and of the reduced
+  loop (2k states): the ``step_chunks`` stream drained and collected into
+  one output array (rows ``step_response/...``, the name under which
+  earlier reports recorded this stage, so that they stay comparable);
 - ``write_matrix_csv`` of the full outputs (plain) and of the reduced
   outputs with one column per node (repeated columns), each with the time
   column as ``lead``, as ``simulate`` writes them.
@@ -125,12 +127,27 @@ def loop_stages(src):
     return out
 
 
+def _step_outputs(loop, input_node, t_end):
+    """Times and outputs of the ``step_chunks`` stream, collected into two arrays."""
+    import numpy as np
+
+    from netreduce.simulate import sample_steps, step_chunks
+
+    out, row = None, 0
+    for _, y in step_chunks(loop, input_node, t_end, DT):
+        if out is None:  # after the matrix exponential's temporaries are freed
+            out = np.empty((sample_steps(t_end, DT) + 1, y.shape[1]))
+        out[row : row + len(y)] = y
+        row += len(y)
+        del y  # freed before the next chunk is computed
+    return np.arange(len(out)) * DT, out
+
+
 def measure():
     """Time every stage once in this interpreter; returns {stage: seconds} and the thread settings."""
     import netreduce  # noqa: F401  (sets the one-thread BLAS default first)
 
     from netreduce.io import write_matrix_csv
-    from netreduce.simulate import step_response
 
     times = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -142,18 +159,18 @@ def measure():
             for samples in SAMPLES:
                 t_end = (samples - 1) * DT
                 t0 = time.perf_counter()
-                y = step_response(full, 1, t_end, DT)
+                t, y = _step_outputs(full, 1, t_end)
                 times[f"step_response/full/n={n}/samples={samples}"] = time.perf_counter() - t0
                 t0 = time.perf_counter()
-                y_red = step_response(red, group_in, t_end, DT)
+                t_red, y_red = _step_outputs(red, group_in, t_end)
                 times[f"step_response/reduced/n={n}/samples={samples}"] = time.perf_counter() - t0
 
                 t0 = time.perf_counter()
-                write_matrix_csv(path, y.outputs, lead=y.times)
+                write_matrix_csv(path, y, lead=t)
                 times[f"write_matrix_csv/plain/n={n}/samples={samples}"] = time.perf_counter() - t0
                 columns = [0, *(part.assignment + 1).tolist()]
                 t0 = time.perf_counter()
-                write_matrix_csv(path, y_red.outputs, columns=columns, lead=y_red.times)
+                write_matrix_csv(path, y_red, columns=columns, lead=t_red)
                 times[f"write_matrix_csv/repeated/n={n}/samples={samples}"] = time.perf_counter() - t0
                 del y, y_red
     return {"times": times, "thread_env": {v: os.environ.get(v) for v in THREAD_VARS}}

@@ -23,6 +23,12 @@ and compares the two output trees file by file:
   and (2 + s)/(1 + 2s), alternating, and the biproper coupling
   (1 + s/2)/(1/2 + s): a stable loop whose feedthrough loop matrix is not
   the identity;
+- ``simulate`` on that config with seed 0 and ``sim.t_end`` 30 (30001
+  samples), where the full loop's block starts (16 samples each) span two
+  batches of B n_out = 1280 starts;
+- ``simulate`` on a two-block config (sizes 30 and 50, k = 2), whose
+  reduced loop forms products of 32 starts x 32 outputs, below the 1200
+  outputs at which OpenBLAS switches kernels;
 - ``evaluate``, ``simulate`` and ``experiment --jobs 2`` on the configs of
   the ``evaluate-band``, ``simulate-step`` and ``experiment-pool``
   workloads of ``perfbench/workloads.py`` at benchmark seed 7.
@@ -74,6 +80,10 @@ def runs():
         coupling={"num": [1.0, 0.5], "den": [0.5, 1.0]},
     )
     out.append(("three_group-biproper-simulate", feedthrough, "simulate", 1))
+    long = dict(base, seeds=[0], sim=dict(base["sim"], t_end=30.0))
+    out.append(("three_group-t30-simulate", long, "simulate", 1))
+    two_blocks = {"sizes": [30, 50], "q": [[0.8, 0.1], [0.1, 0.8]], "w": [[20.0, 0.5], [0.5, 20.0]]}
+    out.append(("two_group-simulate", dict(base, k=2, wsbm=two_blocks), "simulate", 1))
     for name in ("evaluate-band", "simulate-step", "experiment-pool"):
         w = WORKLOADS[name]
         out.append((name, w.make_config(BENCH_SEED), w.command, w.jobs))
