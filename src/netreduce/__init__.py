@@ -48,7 +48,6 @@ from .errors import (
 from .evaluation import (
     BandSuprema,
     ErrorReport,
-    FreqGrid,
     PassivityReport,
     Sweep,
     band_error,

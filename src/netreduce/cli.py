@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import build_model, load_config
 from .errors import ConfigError, NetreduceError
-from .evaluation import FreqGrid, band_error, band_suprema, passivity_check, sweep
+from .evaluation import band_error, band_suprema, passivity_check, sweep
 from .graphs import concentration, expected_laplacian, laplacian, sample_adjacency
 from .io import (
     append_matrix_csv,
@@ -38,6 +38,7 @@ from .io import (
 )
 from .reduction import run_algorithm_1
 from .simulate import ResponseDeviation, close_loop, lockstep, realize_reduced, step_chunks
+from .transfer import log_grid
 
 BAND_NOTE = "band quantities computed on omega in [omega_min, eta]; omega=0 excluded (coupling pole)"
 
@@ -75,7 +76,7 @@ class _Outputs:
 
 
 def _grid(config):
-    return FreqGrid.default(config.eta, config.omega_min, config.grid_size)
+    return log_grid(config.omega_min, config.eta, config.grid_size)
 
 
 def _reduce_one(config, seed, scale=1):
@@ -118,7 +119,7 @@ def cmd_evaluate(config, out_dir):
     for seed in config.seeds:
         model, _, _, reduced, found = _reduce_one(config, seed)
         sw = sweep(model, grid)
-        report = band_error(model, reduced, reduced.spectral, sw)
+        report = band_error(model, reduced, sw)
         write_table_csv(out.path(f"band_seed{seed}.csv"), report.COLUMNS, report.rows())
         passivity = passivity_check(sw)
         summary["per_seed"][str(seed)] = {
@@ -183,7 +184,7 @@ def _experiment_cell(args):
     config, scale, seed = args
     try:
         model, params, _, reduced, found = _reduce_one(config, seed, scale)
-        report = band_suprema(model, reduced, reduced.spectral, sweep(model, _grid(config)))
+        report = band_suprema(model, reduced, sweep(model, _grid(config)))
         l_blk, _ = expected_laplacian(params)
         conc = concentration(model.laplacian, l_blk)
         return {

@@ -2,9 +2,11 @@
 
 Everything here reads a :class:`Sweep`, the node and coupling dynamics of a
 model evaluated once by one stacked Horner pass: ``sweep`` builds it once
-per (model, grid) for ``band_error`` and ``passivity_check``, and the
-one-point functions build one at their point. The aggregate of a node
-group, (sum_{i in I_j} 1/g_i)^-1, is summed from the sweep's G^-1 columns.
+per (model, omega array) for the band readers, which read omega as the
+imaginary parts of its points and the eigendata from the reduced model,
+and the one-point functions build one at their point. The aggregate of a
+node group, (sum_{i in I_j} 1/g_i)^-1, is summed from the sweep's G^-1
+columns.
 
 Spectral norms are largest singular values from SVDs: dense n x n ones for
 the differences against T_yu and for ||T_yu|| itself, and small ones (k x k
@@ -40,27 +42,7 @@ from .errors import (
     NotPassiveOnGrid,
     PoleAtS,
 )
-from .transfer import checked_inverse, log_grid, node_values
-
-
-@dataclass(frozen=True, eq=False)
-class FreqGrid:
-    """Logarithmic frequency grid on [omega_min, eta]."""
-
-    eta: float
-    omega_min: float
-    points: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if not (self.omega_min > 0 and self.eta > self.omega_min):
-            raise ValueError("need 0 < omega_min < eta")
-        if pts.size < 1 or np.any(np.diff(pts) <= 0):
-            raise ValueError("grid points must be strictly increasing")
-
-    @classmethod
-    def default(cls, eta=10.0, omega_min=1e-3, n_points=200):
-        return cls(eta=eta, omega_min=omega_min, points=log_grid(omega_min, eta, n_points))
+from .transfer import checked_inverse, node_values
 
 
 class Sweep:
@@ -73,12 +55,12 @@ class Sweep:
     ``inverse_pole`` (F,) where some 1/g_i has one and ``coupling_pole``
     (F,) where f has one. ``gaps`` maps the index of each point where G^-1
     or f has a pole to its PoleAtS message, a node-inverse pole first.
-    ``grid`` is the FreqGrid of the points s = j omega, if any.
+    The band readers take a sweep of points s = j omega on the imaginary
+    axis, such as :func:`sweep` builds, and read omega as ``s.imag``.
     """
 
-    def __init__(self, model, s, grid=None):
+    def __init__(self, model, s):
         self.s = s = np.asarray(s, dtype=complex).reshape(-1)
-        self.grid = grid
         n = model.n
         num, den, num_small, den_small = node_values(model.nodes + (model.coupling,), s)
         self.num, self.den, self.node_pole = num[:, :n], den[:, :n], den_small[:, :n]
@@ -95,9 +77,23 @@ class Sweep:
                 self.gaps[i] = f"evaluation at or near a pole: s={s[i]}"
 
 
-def sweep(model, grid):
-    """The :class:`Sweep` of ``model`` over the points j omega of ``grid``."""
-    return Sweep(model, 1j * np.asarray(grid.points, dtype=float), grid)
+def sweep(model, omega):
+    """The :class:`Sweep` of ``model`` over the points j omega.
+
+    Raises ValueError unless ``omega`` is a non-empty 1-D array of positive,
+    strictly increasing frequencies.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim != 1 or omega.size == 0 or not (omega[0] > 0 and np.all(np.diff(omega) > 0)):
+        raise ValueError("omega must be a non-empty 1-D array, positive, strictly increasing")
+    return Sweep(model, 1j * omega)
+
+
+def _omega(sw):
+    # the frequencies of a band reader's sweep, whose points must be j omega
+    if sw.s.size == 0 or np.any(sw.s.real != 0):
+        raise ValueError("a band is read from a non-empty sweep on the imaginary axis")
+    return sw.s.imag
 
 
 def _sweep_at(model, s):
@@ -339,13 +335,17 @@ class BandSuprema:
     failures: tuple = ()
 
 
-def _check_shapes(model, reduced, data, sw):
-    sizes = {"model": model.n, "reduced": reduced.n, "eigendata": data.v_k.shape[0]}
-    sizes["sweep"] = sw.ginv.shape[1]
+def _check_shapes(model, reduced, sw):
+    # the reduced model's eigendata, once it matches the model and the sweep
+    data = reduced.spectral
+    if data is None:
+        raise ModelMismatch("reduced model carries no eigendata (spectral is None, as after from_dict)")
+    sizes = {"model": model.n, "reduced": reduced.n, "eigendata": data.n, "sweep": sw.ginv.shape[1]}
     if len(set(sizes.values())) > 1:
         raise ModelMismatch(f"node counts differ: {sizes}")
     if reduced.k != data.k:
         raise ModelMismatch(f"reduced model has k={reduced.k}, eigendata k={data.k}")
+    return data
 
 
 class _BandPass:
@@ -366,9 +366,10 @@ class _BandPass:
     ``failures`` in grid order.
     """
 
-    def __init__(self, model, reduced, data, sw):
-        _check_shapes(model, reduced, data, sw)
-        self.model, self.data, self.sw = model, data, sw
+    def __init__(self, model, reduced, sw):
+        self.omega = _omega(sw)
+        self.data = data = _check_shapes(model, reduced, sw)
+        self.model, self.sw = model, sw
         self.assign = reduced.partition.assignment
         ghat, agg_pole = _aggregates(sw, reduced.partition)
         self.gaps = dict(sw.gaps)  # grid index -> message
@@ -408,11 +409,10 @@ class _BandPass:
             first = min(self.gaps)
             raise NoFrequencyEvaluated(
                 f"all {len(self.gaps)} grid frequencies failed; first at "
-                f"omega={self.sw.grid.points[first]:g}: {self.gaps[first]}"
+                f"omega={self.omega[first]:g}: {self.gaps[first]}"
             )
 
     def finish(self):
-        points = np.asarray(self.sw.grid.points, dtype=float)
         self.xv = self.x[self.done] @ self.data.v_k
         m1 = _top_singular(self.xv)
         m2 = np.abs(self.sw.ginv).max(axis=1)
@@ -421,22 +421,24 @@ class _BandPass:
             None if lam_next is None else theorem1_bound(m1_i, float(m2[i]), float(abs(f[i])), lam_next)
             for m1_i, i in zip(m1.tolist(), self.index[self.done].tolist())
         )
-        self.failures = tuple((float(points[i]), self.gaps[i]) for i in sorted(self.gaps))
+        self.failures = tuple((float(self.omega[i]), self.gaps[i]) for i in sorted(self.gaps))
 
 
-def band_error(model, reduced, data, sw):
+def band_error(model, reduced, sw):
     """Frequency-band error report between the full and reduced networks.
 
     Reads the model's dynamics from ``sw``, its :func:`sweep` over the
-    grid. At each grid frequency computes ||T_yu - T_hat_k|| and
-    ||T_yu - T_k|| (largest singular values), and the truncation bound
-    evaluated with the per-frequency constants M1 = ||T_k(jw)||, M2 = max_i |1/g_i(jw)| and
+    grid, and the eigendata from ``reduced.spectral``. At each grid
+    frequency computes ||T_yu - T_hat_k|| and ||T_yu - T_k|| (largest
+    singular values), and the truncation bound evaluated with the
+    per-frequency constants M1 = ||T_k(jw)||, M2 = max_i |1/g_i(jw)| and
     the (k+1)-th Laplacian eigenvalue; the report's ``bound_satisfied``
     checks ||T_yu - T_k|| against that bound at the feasible frequencies.
     Frequencies where the loop is near singular or some node
     inverse, aggregate or the coupling has a pole are recorded as failures,
-    not fatal; NoFrequencyEvaluated is raised when every frequency fails,
-    and inputs of different networks raise ModelMismatch.
+    not fatal; NoFrequencyEvaluated is raised when every frequency fails.
+    Inputs of different networks, or a reduced model without eigendata,
+    raise ModelMismatch, and a sweep off the imaginary axis ValueError.
 
     The per-frequency pass is :class:`_BandPass`. The dense n x n SVDs are
     those of the two differences against T_yu, two per frequency, and those
@@ -451,11 +453,10 @@ def band_error(model, reduced, data, sw):
     of [V_k | P], which holds the rows and columns of both terms. These are
     stacked SVDs of at most 2k x 2k matrices.
     """
-    band = _BandPass(model, reduced, data, sw)
-    points = np.asarray(sw.grid.points, dtype=float)
+    band = _BandPass(model, reduced, sw)
     per_freq, err_tk, bound_yu = [], [], []
     for j, t_yu in band.inverses():
-        per_freq.append((float(points[band.index[j]]), spectral_norm(t_yu - band.t_hat(j))))
+        per_freq.append((float(band.omega[band.index[j]]), spectral_norm(t_yu - band.t_hat(j))))
         err_tk.append(spectral_norm(t_yu - band.t_k(j)))
         bound_yu.append(_fro_bound(t_yu))
     # the candidates are inverted again before anything else is allocated:
@@ -464,8 +465,9 @@ def band_error(model, reduced, data, sw):
     band.finish()
 
     p = np.eye(reduced.k)[band.assign]
-    q = np.linalg.qr(np.hstack([data.v_k, p]))[0]
-    q_v, q_p = q.T @ data.v_k, q.T @ p
+    v = band.data.v_k
+    q = np.linalg.qr(np.hstack([v, p]))[0]
+    q_v, q_p = q.T @ v, q.T @ p
     c = band.c[band.done]
     root_sizes = np.sqrt(reduced.partition.sizes)
     return ErrorReport(
@@ -479,7 +481,7 @@ def band_error(model, reduced, data, sw):
     )
 
 
-def band_suprema(model, reduced, data, sw):
+def band_suprema(model, reduced, sw):
     """``sup_err`` and ``bound_satisfied`` of :func:`band_error`, bit for bit, from few dense SVDs.
 
     The same per-frequency pass (:class:`_BandPass`) keeps only O(n^2) upper
@@ -491,7 +493,7 @@ def band_suprema(model, reduced, data, sw):
     that runs sees the array ``band_error`` forms, so both values equal its
     own. Gaps and errors are those of ``band_error``.
     """
-    band = _BandPass(model, reduced, data, sw)
+    band = _BandPass(model, reduced, sw)
     bound_hat, bound_tk = [], []
     for j, t_yu in band.inverses():
         bound_hat.append(_fro_bound(t_yu - band.t_hat(j)))
@@ -520,7 +522,8 @@ class PassivityReport:
     """Grid certificate for passivity/boundedness quantities.
 
     gamma bounds |g_i(jw)|^2 / Re(g_i(jw)) over nodes and grid, m_eta bounds
-    |1/g_i(jw)|, f_lower is the minimum coupling magnitude. This is a grid
+    |1/g_i(jw)|, f_lower is the minimum coupling magnitude. ``grid`` holds
+    the frequencies, ``grid[-1]`` the band edge eta. This is a grid
     certificate, not a proof: quantities are tested on finitely many
     frequencies only.
     """
@@ -528,7 +531,6 @@ class PassivityReport:
     gamma: float
     m_eta: float
     f_lower: float
-    eta: float
     grid: np.ndarray = field(repr=False)
     coupling_real_on_axis: bool = True
     coupling_max_imag: float = 0.0
@@ -547,10 +549,11 @@ def passivity_check(sw):
     The sweep's grid is on [omega_min, eta]; omega_min excludes a coupling
     pole at the origin, e.g. f = 1/s. Raises PoleAtS when a node or the
     coupling has a pole on the grid, NotPassiveOnGrid when some node has
-    Re(g(jw)) <= 0 there and CouplingVanishes when the coupling magnitude
-    estimate drops below 1e-12.
+    Re(g(jw)) <= 0 there, CouplingVanishes when the coupling magnitude
+    estimate drops below 1e-12 and ValueError when the sweep has a point
+    off the imaginary axis.
     """
-    points = np.asarray(sw.grid.points, dtype=float)
+    points = _omega(sw)
     if sw.node_pole.any():
         i = int(np.argmax(sw.node_pole.any(axis=0)))
         w_bad = points[np.argmax(sw.node_pole[:, i])]
@@ -578,7 +581,6 @@ def passivity_check(sw):
         gamma=gamma,
         m_eta=m_eta,
         f_lower=f_lower,
-        eta=float(sw.grid.eta),
         grid=points,
         coupling_real_on_axis=real_on_axis,
         coupling_max_imag=max_imag,

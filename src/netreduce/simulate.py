@@ -221,7 +221,7 @@ def _run_length(ns, width):
     of the starts, since each product packs the whole (ns + 1) x B n_out
     operator block again: on the 640-state loop of n = 320, 30001 samples
     took 1.01-1.07 s in runs of 32 starts and 0.80-1.00 s in runs of 160,
-    against 0.78-0.97 s in one product per batch.
+    against 0.78-0.97 s in one product over all 1875 starts.
     """
     return max(2, (ns + 1) // 4, -(-_RUN_CELLS // width))
 
@@ -288,11 +288,12 @@ def step_chunks(sys, input_node, t_end, dt, state_limit=1e12):
     [C, d] Z^m [s; 1] = C (Phi^m s + x_m) + d. Only the block starts are
     stepped, [s'; 1] = Z^B [s; 1]. The outputs of a run of J starts come
     from one (J x (ns + 1)) @ ((ns + 1) x B n_out) product, and make one
-    chunk. The output bits are those of one product per batch of B n_out
-    starts; a batch is cut into runs of at least R starts
-    (``_run_length``), and a batch of fewer than 2R starts is one run. BLAS
-    gives each row the same bits in any product of two or more rows and
-    more than about a thousand outputs, so the outputs do not depend on R.
+    chunk. The whole blocks of the horizon are cut into runs of R starts
+    (``_run_length``); a last piece shorter than R joins the run before it,
+    and a partial last block joins the last run as a matrix-vector product.
+    BLAS gives each row the same bits in any product of two or more rows
+    and more than about a thousand outputs, so the outputs do not depend
+    on R.
 
     Raises Diverged at the first sample where any state is non-finite or
     larger than ``state_limit`` in magnitude. Every state of a block is at
@@ -327,45 +328,39 @@ def step_chunks(sys, input_node, t_end, dt, state_limit=1e12):
     ops = ops.reshape(block * n_out, ns + 1)
 
     n_blocks, n_whole = -(-steps // block), steps // block
-    batch = min(n_blocks, max(1, block * n_out))
     run = _run_length(ns, block * n_out)
-    starts = np.empty((min(batch, 2 * run), ns + 1))
+    cuts = list(range(0, n_whole, run)) or [0]
+    if len(cuts) > 1 and n_whole - cuts[-1] < run:
+        cuts.pop()
+    starts = np.empty((min(n_blocks, 2 * run), ns + 1))
     s = np.zeros(ns + 1)
     s[ns] = 1.0
-    for b0 in range(0, n_blocks, batch):
-        b1 = min(b0 + batch, n_blocks)
-        # the last start of the horizon may have a partial block, which
-        # joins the batch's last run as a matrix-vector product
-        g1 = min(b1, n_whole)
-        cuts = list(range(b0, g1, run)) or [b0]
-        if len(cuts) > 1 and g1 - cuts[-1] < run:
-            cuts.pop()
-        for j0, j1 in zip(cuts, [*cuts[1:], b1]):
-            chunk = starts[: j1 - j0]
-            for j, start in enumerate(chunk):
-                start[:] = s
-                # a NaN bound fails the comparison too
-                if not grow * float(np.abs(s[:ns]).max()) + rest <= state_limit:
-                    x = s[:ns]
-                    first = (j0 + j) * block
-                    for i in range(first + 1, min(first + block, steps) + 1):
-                        x = phi @ x + gamma
-                        if not np.abs(x).max() <= state_limit:
-                            raise Diverged(f"state magnitude exceeded {state_limit:g} at t={i * dt:g}")
-                s = s + d @ s
-            # row 0 is sample j0 B: t = 0 in the first chunk, else the
-            # previous chunk's last row
-            r0, r1 = j0 * block, 1 + min(j1 * block, steps)
-            y = np.empty((r1 - r0, n_out))
-            y[0] = d_u
-            full = min(j1, n_whole) - j0
-            np.matmul(chunk[:full], ops.T, out=y[1 : 1 + full * block].reshape(full, block * n_out))
-            tail = y.shape[0] - 1 - full * block
-            if tail:
-                y[1 + full * block :] = (ops[: tail * n_out] @ chunk[full]).reshape(tail, n_out)
-            skip = int(j0 > 0)
-            yield np.arange(r0 + skip, r1) * dt, y[skip:]
-            del y  # a consumer done with the chunk frees it before the next
+    for j0, j1 in zip(cuts, [*cuts[1:], n_blocks]):
+        chunk = starts[: j1 - j0]
+        for j, start in enumerate(chunk):
+            start[:] = s
+            # a NaN bound fails the comparison too
+            if not grow * float(np.abs(s[:ns]).max()) + rest <= state_limit:
+                x = s[:ns]
+                first = (j0 + j) * block
+                for i in range(first + 1, min(first + block, steps) + 1):
+                    x = phi @ x + gamma
+                    if not np.abs(x).max() <= state_limit:
+                        raise Diverged(f"state magnitude exceeded {state_limit:g} at t={i * dt:g}")
+            s = s + d @ s
+        # row 0 is sample j0 B: t = 0 in the first chunk, else the
+        # previous chunk's last row
+        r0, r1 = j0 * block, 1 + min(j1 * block, steps)
+        y = np.empty((r1 - r0, n_out))
+        y[0] = d_u
+        full = min(j1, n_whole) - j0
+        np.matmul(chunk[:full], ops.T, out=y[1 : 1 + full * block].reshape(full, block * n_out))
+        tail = y.shape[0] - 1 - full * block
+        if tail:
+            y[1 + full * block :] = (ops[: tail * n_out] @ chunk[full]).reshape(tail, n_out)
+        skip = int(j0 > 0)
+        yield np.arange(r0 + skip, r1) * dt, y[skip:]
+        del y  # a consumer done with the chunk frees it before the next
 
 
 @dataclass(frozen=True, eq=False)

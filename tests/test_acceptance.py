@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from netreduce import (
-    FreqGrid,
     NetworkModel,
     Partition,
     ResponseDeviation,
@@ -38,7 +37,7 @@ from netreduce import (
     theorem1_bound,
 )
 from netreduce.cli import main
-from netreduce.evaluation import _loop_inverse, _rank_k_cores
+from netreduce.evaluation import _loop_inverse, _norm_bound, _rank_k_cores
 from netreduce.transfer import sample_swing_nodes
 
 from conftest import (
@@ -95,7 +94,10 @@ class TestCriterion1:
                 if bound is None:
                     continue
                 feasible_points += 1
-                if spectral_norm(t_yu - t_k) > bound + 1e-7 * (1.0 + bound):
+                diff, tol = t_yu - t_k, bound + 1e-7 * (1.0 + bound)
+                # the padded O(n^2) bound of the computed ||diff|| clears a
+                # point without its SVD; no cleared point can violate
+                if _norm_bound(diff) > tol and spectral_norm(diff) > tol:
                     violations += 1
         ok = violations == 0 and feasible_points > 0
         assert _report(
@@ -214,12 +216,12 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_hinf_grid_below_analytic_gamma(self, eq15_params):
-        grid = FreqGrid.default(eta=10.0, omega_min=1e-3, n_points=200)
+        grid = log_grid(1e-3, 10.0, 200)
         worst_ratio = 0.0
         for seed in range(20):
             model, gamma = make_swing_model(eq15_params, seed)
             reduced = run_algorithm_1(model, 3, seed=seed)
-            report = band_error(model, reduced, reduced.spectral, sweep(model, grid))
+            report = band_error(model, reduced, sweep(model, grid))
             h_full, h_red = report.hinf_t_yu, report.hinf_t_hat_k
             worst_ratio = max(worst_ratio, h_full / gamma, h_red / gamma)
         ok = worst_ratio <= 1 + 1e-6
@@ -228,7 +230,7 @@ class TestCriterion5:
 
 def _sup_error(model, reduced, grid):
     # max ||T_yu - T_hat_k|| over the grid, every frequency evaluated
-    result = band_suprema(model, reduced, reduced.spectral, sweep(model, grid))
+    result = band_suprema(model, reduced, sweep(model, grid))
     assert result.failures == ()
     return result.sup_err
 
@@ -237,7 +239,7 @@ class TestCriterion6:
     def test_error_decreases_with_network_size(self, eq15_params):
         # 48-point grid: the supremum is over a fixed grid, and the trend
         # across sizes is insensitive to the grid density
-        grid = FreqGrid.default(eta=10.0, omega_min=1e-3, n_points=48)
+        grid = log_grid(1e-3, 10.0, 48)
         medians = []
         recovery = []
         for scale in (1, 2, 4):

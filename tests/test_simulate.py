@@ -500,6 +500,22 @@ class TestBlockStepper:
         np.testing.assert_array_equal(np.concatenate([t for t, _ in chunks]), ref_t)
         np.testing.assert_array_equal(np.concatenate([y for _, y in chunks]), ref_y)
 
+    @pytest.mark.parametrize(
+        "loop_name,steps,run",
+        [("full", 4005, 2), ("full", 30000, 2), ("full", 30000, None), ("reduced", 30000, None)],
+    )
+    def test_outputs_do_not_depend_on_the_runs(self, eq15_loops, monkeypatch, loop_name, steps, run):
+        # runs of two starts, and (None) one product over every whole block
+        full, reduced, group_in = eq15_loops
+        loop, node = (full, 1) if loop_name == "full" else (reduced, group_in)
+        ref_t, ref_y = step_outputs(loop, node, t_end=steps * 1e-3, dt=1e-3)
+        n_blocks = -(-steps // _block_length(steps, loop.dims[0]))
+        monkeypatch.setattr(simulate, "_run_length", lambda ns, width: run or n_blocks)
+        chunks = list(step_chunks(loop, node, steps * 1e-3, 1e-3))
+        assert len(chunks) == (1 if run is None else n_blocks // 2)
+        np.testing.assert_array_equal(np.concatenate([t for t, _ in chunks]), ref_t)
+        np.testing.assert_array_equal(np.concatenate([y for _, y in chunks]), ref_y)
+
     def test_chunks_stay_short(self, eq15_loops):
         full, _, _ = eq15_loops
         rows = [len(y) for _, y in step_chunks(full, 1, 30.0, 1e-3)]
@@ -710,13 +726,15 @@ class TestCompareResponses:
         np.testing.assert_array_equal(deviation.diff, diff)
 
     def test_lockstep_pairs_the_same_samples(self, eq15_loops):
+        # at 12000 samples the reduced stream comes in two chunks, cut
+        # inside one of the full stream's
         full_loop, red_loop, group_in = eq15_loops
-        refs = (*step_outputs(full_loop, 1, 4.0, 1e-3), *step_outputs(red_loop, group_in, 4.0, 1e-3))
+        refs = (*step_outputs(full_loop, 1, 12.0, 1e-3), *step_outputs(red_loop, group_in, 12.0, 1e-3))
         pairs = list(
-            lockstep(step_chunks(full_loop, 1, 4.0, 1e-3), step_chunks(red_loop, group_in, 4.0, 1e-3))
+            lockstep(step_chunks(full_loop, 1, 12.0, 1e-3), step_chunks(red_loop, group_in, 12.0, 1e-3))
         )
         # the two streams cut their rows differently
-        assert len(pairs) > len(list(step_chunks(full_loop, 1, 4.0, 1e-3)))
+        assert len(pairs) > len(list(step_chunks(full_loop, 1, 12.0, 1e-3)))
         for i, ref in enumerate(refs):
             np.testing.assert_array_equal(np.concatenate([p[i] for p in pairs]), ref)
 

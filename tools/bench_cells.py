@@ -11,11 +11,11 @@ ratio 1:2:1, swing nodes, f = 1/s, k = 3, graph seed 0):
   320 and 1280;
 - the band table and the band suprema on a 20-point grid over [1e-3, 10]
   at n = 32, 64, 160 and 320: ``band_error`` (``evaluate``'s table with
-  the H-infinity estimates; ``hinf=True`` on a tree that has that flag) and
-  ``band_suprema`` (``sup_err`` and ``bound_satisfied`` of an ``experiment``
-  cell; ``band_error`` with ``hinf=False`` on a tree without it); on a tree
-  whose ``band_error`` reads a ``sweep`` of the model, building that sweep
-  is timed with it;
+  the H-infinity estimates) and ``band_suprema`` (``sup_err`` and
+  ``bound_satisfied`` of an ``experiment`` cell), each timed with building
+  the ``sweep`` of the model it reads; on a tree whose readers take the
+  eigendata as an argument too, its ``sweep`` reads the frequencies from
+  the ``points`` of a grid object;
 - one ``experiment`` cell (``cli._experiment_cell``) of the
   ``experiment-pool`` workload's config at n = 32, 64 and 320 (scales 1, 2
   and 10): the first cell of the process, which pays lazy imports, and the
@@ -34,11 +34,13 @@ recorded.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import statistics
 import sys
 import time
+from types import SimpleNamespace
 
 from bench_simulate import THREAD_VARS, compare, parse_args, write_report
 
@@ -92,9 +94,9 @@ def measure():
 
     from netreduce import cli, evaluation
     from netreduce.config import build_model, config_from_dict
-    from netreduce.evaluation import FreqGrid, band_error
     from netreduce.reduction import run_algorithm_1
     from netreduce.spectral import bottom_k_eig, cluster_embedding
+    from netreduce.transfer import log_grid
 
     svds = _DenseSvds(np)
     times, counts = {}, {}
@@ -125,26 +127,20 @@ def measure():
         model, _, _ = build_model(config_from_dict(_doc(n)), 0)
         data = bottom_k_eig(model.laplacian, 3)
         stage(f"cluster_embedding/n={n}", lambda: cluster_embedding(data, 3, restarts=50, seed=0))
-    grid = FreqGrid.default(10.0, 1e-3, GRID_SIZE)
+    omega = log_grid(1e-3, 10.0, GRID_SIZE)
+    old = "data" in inspect.signature(evaluation.band_error).parameters
 
-    def over(model):
-        # what band_error takes: the model's sweep, or the grid in older trees
-        return evaluation.sweep(model, grid) if hasattr(evaluation, "sweep") else grid
-
-    if hasattr(evaluation, "band_suprema"):
-        table, suprema = band_error, evaluation.band_suprema
-    else:  # the band_error(..., hinf) of older trees
-        def table(*args):
-            return band_error(*args, hinf=True)
-
-        def suprema(*args):
-            return band_error(*args, hinf=False)
+    def band(reader, model, reduced):
+        if old:  # reader(model, reduced, eigendata, sweep of a grid object)
+            sw = evaluation.sweep(model, SimpleNamespace(points=omega))
+            return reader(model, reduced, reduced.spectral, sw)
+        return reader(model, reduced, evaluation.sweep(model, omega))
 
     for n in BAND_N:
         model, _, _ = build_model(config_from_dict(_doc(n)), 0)
         reduced = run_algorithm_1(model, 3, seed=0)
-        stage(f"band_error/n={n}", lambda: table(model, reduced, reduced.spectral, over(model)))
-        stage(f"band_suprema/n={n}", lambda: suprema(model, reduced, reduced.spectral, over(model)))
+        stage(f"band_error/n={n}", lambda: band(evaluation.band_error, model, reduced))
+        stage(f"band_suprema/n={n}", lambda: band(evaluation.band_suprema, model, reduced))
     return {
         "times": times,
         "counts": {"dense_svds": counts},

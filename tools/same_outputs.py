@@ -24,11 +24,18 @@ and compares the two output trees file by file:
   (1 + s/2)/(1/2 + s): a stable loop whose feedthrough loop matrix is not
   the identity;
 - ``simulate`` on that config with seed 0 and ``sim.t_end`` 30 (30001
-  samples), where the full loop's block starts (16 samples each) span two
-  batches of B n_out = 1280 starts;
+  samples), where the full loop's 1875 block starts (16 samples each) are
+  cut into runs of 40;
 - ``simulate`` on a two-block config (sizes 30 and 50, k = 2), whose
-  reduced loop forms products of 32 starts x 32 outputs, below the 1200
-  outputs at which OpenBLAS switches kernels;
+  reduced loop has two outputs and steps its 125 block starts in one
+  product;
+- ``evaluate`` on that config with seed 0 on the grid [0.1, 1, 10] and
+  explicit nodes 1/(1 + s), but (s^2 + 1)/(s + 1)^2 at node 0, whose
+  inverse has a pole at omega = 1: the band has one gap, and the
+  passivity check then exits with ``NotPassiveOnGrid`` at omega = 1;
+- ``evaluate`` on that grid with (s^2 + w^2)/(s + 1)^2 at nodes 0, 1 and
+  2 for w = 0.1, 1 and 10, so that every grid frequency is a gap and the
+  command exits with ``NoFrequencyEvaluated`` naming omega = 0.1;
 - ``evaluate``, ``simulate`` and ``experiment --jobs 2`` on the configs of
   the ``evaluate-band``, ``simulate-step`` and ``experiment-pool``
   workloads of ``perfbench/workloads.py`` at benchmark seed 7.
@@ -84,6 +91,12 @@ def runs():
     out.append(("three_group-t30-simulate", long, "simulate", 1))
     two_blocks = {"sizes": [30, 50], "q": [[0.8, 0.1], [0.1, 0.8]], "w": [[20.0, 0.5], [0.5, 20.0]]}
     out.append(("two_group-simulate", dict(base, k=2, wsbm=two_blocks), "simulate", 1))
+    for name, notches in (("one-gap", [1.0]), ("all-gap", [0.1, 1.0, 10.0])):
+        tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * sum(base["wsbm"]["sizes"])
+        for i, w in enumerate(notches):
+            tfs[i] = {"num": [w * w, 0.0, 1.0], "den": [1.0, 2.0, 1.0]}
+        gaps = dict(base, seeds=[0], omega_min=0.1, eta=10.0, grid_size=3, nodes={"preset": "explicit", "tfs": tfs})
+        out.append((f"three_group-{name}-evaluate", gaps, "evaluate", 1))
     for name in ("evaluate-band", "simulate-step", "experiment-pool"):
         w = WORKLOADS[name]
         out.append((name, w.make_config(BENCH_SEED), w.command, w.jobs))
