@@ -11,7 +11,7 @@ import os as _os
 # One BLAS thread per process unless the caller set one. The package loads
 # only numpy's OpenBLAS; a program that loads a second BLAS beside it has two
 # thread pools, which fight over the cores. Parallelism comes from the
-# ``--jobs`` process pool, whose workers inherit these values. This acts
+# forked ``experiment --jobs`` workers, which inherit these values. This acts
 # only while numpy has not yet been imported, so it must run before any
 # submodule below.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

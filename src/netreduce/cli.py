@@ -9,16 +9,21 @@ output file is named through ``_Outputs``, which lists it in the command's
 ``manifest.json`` in the order written. The columns of ``experiment.csv``
 are ``EXPERIMENT_COLUMNS``; those of a band CSV are ``ErrorReport.COLUMNS``.
 
+``experiment --jobs N`` computes its cells in forked workers
+(``_forked_map``); each cell is a pure function of (config, scale, seed).
 Every command is a pure function of (config, seeds): re-running with the
-same inputs reproduces outputs byte for byte. Exit codes: 0 success, 1
-config or option error, 2 runtime failure (an OSError writing outputs too).
+same inputs reproduces outputs byte for byte, whatever ``--jobs``. Exit
+codes: 0 success, 1 config or option error, 2 runtime failure (an OSError
+writing outputs too, or a worker that died).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -210,15 +215,82 @@ def _experiment_cell(args):
         }
 
 
-def __getattr__(name):
-    # the process pool is imported on first use, since only a pooled
-    # ``experiment`` needs it; cmd_experiment looks it up as a module
-    # attribute, which perfbench/traced_cli.py replaces to trace the workers
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
+def _forked_map(fn, items, jobs):
+    """``[fn(x) for x in items]``, computed by ``min(jobs, len(items))`` forked workers.
 
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    Worker w computes items w, w + jobs, ..., writes one pickle of its
+    result list to its own pipe and leaves by ``os._exit``, so it never
+    returns into the caller's frames. The parent reads each pipe to its
+    end, puts the results back in item order and reaps every worker. A
+    worker that ends without its whole result list (killed by a signal, or
+    a ``BaseException`` out of ``fn``) raises ``ChildProcessError``. On any
+    exception in the parent, the workers not yet reaped are killed and
+    reaped first. With one worker, or where ``os.fork`` does not exist,
+    the items run here, one after another.
+
+    Forking is safe here because the caller starts no thread of its own:
+    the package's default is one BLAS thread, and OpenBLAS stops its own
+    thread pool, if there is one, when the process forks.
+    """
+    jobs = min(jobs, len(items))
+    if jobs <= 1 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    workers = []  # (pid, read end of its pipe) of each worker not yet reaped
+    results = [None] * len(items)
+    try:
+        for w in range(jobs):
+            read_fd, write_fd = os.pipe()
+            pipe = open(read_fd, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _forked_worker(fn, items[w::jobs], write_fd)
+            except BaseException:
+                pipe.close()
+                raise
+            finally:
+                os.close(write_fd)
+            workers.append((pid, pipe))
+        for w in range(jobs):
+            pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[0]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise ChildProcessError(f"worker {w} of {jobs} ended without its results ({how})")
+            results[w::jobs] = pickle.loads(data)
+    except BaseException:
+        import signal
+
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    return results
+
+
+def _forked_worker(fn, items, write_fd):
+    # the body of a forked worker: exit 0 only once every result is written
+    code = 1
+    try:
+        data = pickle.dumps([fn(x) for x in items])
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _usable_cpus():
+    # the CPUs this process may run on, which taskset or a cpuset can make
+    # fewer than the host's
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _median(values):
@@ -230,13 +302,8 @@ def _median(values):
 
 def cmd_experiment(config, out_dir, jobs=None):
     out = _Outputs(out_dir)
-    jobs = jobs or os.cpu_count() or 1
     cells = [(config, scale, seed) for scale in config.scales for seed in config.seeds]
-    if jobs > 1 and len(cells) > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_experiment_cell, cells))
-    else:
-        results = [_experiment_cell(c) for c in cells]
+    results = _forked_map(_experiment_cell, cells, jobs or _usable_cpus())
 
     write_table_csv(
         out.path("experiment.csv"),
@@ -319,5 +386,18 @@ def main(argv=None):
         return 2
 
 
+def entry(argv=None):
+    """The process entry of ``python -m netreduce.cli`` and the ``netreduce`` script.
+
+    Runs :func:`main`, then freezes the heap, so that the collections of
+    interpreter finalization skip the objects the imports left. Every
+    output file is closed by then. ``main`` itself freezes nothing, since
+    it may run inside a longer-lived process.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -191,7 +191,14 @@ class ReducedModel:
         return self.partition.n
 
     def to_dict(self):
-        """Self-contained document: enough to re-evaluate the reduced model."""
+        """Self-contained document of the reduced network.
+
+        :meth:`from_dict` rebuilds from it the partition, the retained
+        eigenvalues, ``l_k``, ``s_matrix``, the member transfer functions and
+        the coupling: enough to rebuild the reduced network and simulate it
+        (``realize_reduced``). The eigendata (``spectral``) are not stored,
+        so a model read back cannot be band-evaluated.
+        """
         return {
             "assignment": self.partition.assignment.tolist(),
             "k": self.k,

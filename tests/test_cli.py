@@ -1,16 +1,21 @@
+import errno
+import gc
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import netreduce
-from netreduce.cli import main
+from netreduce import cli
+from netreduce.cli import _forked_map, main
 from netreduce.config import build_model, config_from_dict, load_config
-from netreduce.errors import ConfigError
+from netreduce.errors import ConfigError, ReductionFailed
 from netreduce.io import read_matrix_csv
 from netreduce.reduction import run_algorithm_1
 from netreduce.simulate import realize_reduced
@@ -561,6 +566,171 @@ class TestExperiment:
         assert summary["per_scale"]["1"]["median_concentration"] <= 1e-10
 
 
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _square_with_pid(x):
+    return x * x, os.getpid()
+
+
+def _killed_at_3(x):
+    if x == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def _interrupted_at_3(x):
+    if x == 3:
+        raise KeyboardInterrupt
+    return x
+
+
+def two_scale_config(tmp_path, seeds=(0, 1, 2)):
+    doc = base_config(grid_size=10, seeds=list(seeds), scales=[1, 2], restarts=5)
+    doc["wsbm"]["sizes"] = [8, 16, 8]
+    return write_config(tmp_path, doc)
+
+
+class TestForkedWorkers:
+    def test_every_split_writes_the_same_files(self, tmp_path, monkeypatch):
+        # 6 cells, one failing: serial, strides of 3 + 3, of 2 + 2 + 2, and
+        # more jobs than cells; the forked workers inherit the patch
+        reduce_one = cli._reduce_one
+
+        def failing_at_scale_2_seed_1(config, seed, scale=1):
+            if (scale, seed) == (2, 1):
+                raise ReductionFailed("refinement", "injected")
+            return reduce_one(config, seed, scale)
+
+        monkeypatch.setattr(cli, "_reduce_one", failing_at_scale_2_seed_1)
+        cfg = two_scale_config(tmp_path)
+        trees = {}
+        for jobs in (1, 2, 3, 7):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["experiment", "--config", cfg, "--out", str(out), "--jobs", str(jobs)]) == 0
+            trees[jobs] = tree_bytes(out)
+        assert all(tree == trees[1] for tree in trees.values())
+        summary = json.loads(trees[1]["summary.json"])
+        assert [(f["scale"], f["seed"], f["stage"]) for f in summary["failures"]] == [(2, 1, "refinement")]
+        assert summary["per_scale"]["1"]["ok_seeds"] == 3 and summary["per_scale"]["2"]["ok_seeds"] == 2
+        no_child_left()
+
+    @pytest.mark.parametrize("length, jobs", [(0, 2), (1, 3), (2, 2), (5, 2), (7, 3), (6, 4), (3, 8)])
+    def test_results_keep_the_item_order(self, length, jobs):
+        results = _forked_map(_square_with_pid, list(range(length)), jobs)
+        assert [r for r, _ in results] == [x * x for x in range(length)]
+        pids = [pid for _, pid in results]
+        workers = min(jobs, length)
+        if workers <= 1:
+            assert set(pids) <= {os.getpid()}
+        else:
+            # item i ran in worker i % workers, each worker a process of its own
+            assert len(set(pids)) == workers and os.getpid() not in pids
+            assert pids == [pids[i % workers] for i in range(length)]
+        no_child_left()
+
+    def test_without_fork_the_items_run_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert _forked_map(_square_with_pid, [0, 1, 2], 2) == [(x * x, os.getpid()) for x in range(3)]
+
+    @pytest.mark.parametrize(
+        "fn, how", [(_killed_at_3, "killed by signal 9"), (_interrupted_at_3, "exit code 1")]
+    )
+    def test_worker_without_results_raises(self, fn, how):
+        # item 3 is worker 0's second; workers 1 and 2 are killed or reaped
+        with pytest.raises(ChildProcessError, match=rf"^worker 0 of 3 ended without its results \({how}\)$"):
+            _forked_map(fn, list(range(6)), 3)
+        no_child_left()
+
+    def test_failed_fork_kills_the_started_workers(self, monkeypatch):
+        fork, pids = os.fork, []
+
+        def second_fork_fails():
+            if pids:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            pids.append(fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        t0 = time.monotonic()
+        with pytest.raises(BlockingIOError):
+            _forked_map(time.sleep, [60, 60], 2)
+        assert time.monotonic() - t0 < 30  # the sleeping worker was killed
+        no_child_left()
+
+    def test_killed_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        def cell(args):
+            if args[2] == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return {}
+
+        monkeypatch.setattr(cli, "_experiment_cell", cell)
+        cfg = two_scale_config(tmp_path, seeds=(0, 1))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ChildProcessError: worker 1 of 2 ended without its results (killed by signal 9)\n"
+        )
+        assert not (out / "experiment.csv").exists()
+        no_child_left()
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, jobs", [({0, 2, 5}, 8, 3), (None, 8, 8), (None, None, 1)]
+    )
+    def test_default_jobs_are_the_usable_cpus(self, tmp_path, monkeypatch, affinity, cpu_count, jobs):
+        seen = []
+
+        def recorder(fn, items, jobs):
+            seen.append(jobs)
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli, "_forked_map", recorder)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        cfg = write_config(tmp_path, base_config(grid_size=10, restarts=5))
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert seen == [jobs]
+
+
+@pytest.mark.parametrize("case", ["ok", "option", "runtime"])
+def test_module_entry_exits_as_main_returns(tmp_path, capsys, case):
+    cfg = two_scale_config(tmp_path, seeds=(0, 1))
+    args, code = {
+        "ok": (["experiment", "--config", cfg, "--jobs", "2"], 0),
+        "option": (["experiment", "--config", cfg, "--jobs", "0"], 1),
+        "runtime": (["evaluate", "--config", all_gap_config(tmp_path)], 2),
+    }[case]
+    assert main([*args, "--out", str(tmp_path / "main")]) == code
+    err = capsys.readouterr().err
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(netreduce.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "netreduce.cli", *args, "--out", str(tmp_path / "entry")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert err.startswith("error: ") == (code != 0)
+    assert tree_bytes(tmp_path / "entry") == tree_bytes(tmp_path / "main")
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    cfg, frozen = small_run_config(tmp_path), gc.get_freeze_count()
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "main")]) == 0
+    assert gc.get_freeze_count() == frozen
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(netreduce.__file__)))
+    script = "import gc, sys; from netreduce.cli import entry; print(entry(sys.argv[1:]), gc.get_freeze_count())"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "generate", "--config", cfg, "--out", str(tmp_path / "entry")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    code, count = proc.stdout.split()
+    assert code == "0" and int(count) > 0
+
+
 def small_run_config(tmp_path):
     doc = base_config(
         grid_size=10, seeds=[0, 1], restarts=5, sim={"dt": 1e-3, "t_end": 0.5, "input_node": 1}
@@ -597,19 +767,21 @@ def test_only_reduce_builds_the_reduced_model_document(tmp_path, monkeypatch):
 
 
 # run in a fresh interpreter, since this test process may have loaded scipy
-# for the reference solutions of other tests, and numpy.ma through them;
-# experiment runs serially
+# for the reference solutions of other tests, and numpy.ma through them; a
+# command is its name and its options after the config and output, so
+# "experiment --jobs 1" runs serially in this interpreter
 LEAN_CHILD = """
 import json, sys
 from netreduce.cli import main
 cfg, out, *commands = sys.argv[1:]
 codes = [
-    main([cmd, "--config", cfg, "--out", f"{out}/{cmd}", *(["--jobs", "1"] if cmd == "experiment" else [])])
-    for cmd in commands
+    main([cmd.split()[0], "--config", cfg, "--out", f"{out}/{i}", *cmd.split()[1:]])
+    for i, cmd in enumerate(commands)
 ]
 loaded = [
     m for m in sys.modules
-    if m.startswith("scipy") or m in ("concurrent.futures.process", "numpy.ma", "fractions", "decimal")
+    if m.startswith(("scipy", "concurrent", "multiprocessing"))
+    or m in ("numpy.ma", "fractions", "decimal")
 ]
 print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
 """
@@ -626,8 +798,9 @@ def run_lean_child(tmp_path, doc, *commands):
 
 
 def test_small_commands_load_neither_scipy_nor_a_process_pool(tmp_path):
-    doc = base_config(grid_size=10, sim={"dt": 1e-3, "t_end": 0.5, "input_node": 1})
-    assert run_lean_child(tmp_path, doc, "evaluate", "simulate") == {"codes": [0, 0], "loaded": []}
+    doc = base_config(grid_size=10, seeds=[0, 1], sim={"dt": 1e-3, "t_end": 0.5, "input_node": 1})
+    commands = ("evaluate", "simulate", "experiment --jobs 2")
+    assert run_lean_child(tmp_path, doc, *commands) == {"codes": [0, 0, 0], "loaded": []}
 
 
 def test_reduce_above_dense_max_n_loads_no_scipy(tmp_path):
@@ -644,5 +817,5 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
         sim={"dt": 1e-3, "t_end": 0.5, "input_node": 1},
     )
     doc["wsbm"]["sizes"] = [8, 16, 8]
-    commands = ("reduce", "evaluate", "simulate", "experiment")
+    commands = ("reduce", "evaluate", "simulate", "experiment --jobs 1")
     assert run_lean_child(tmp_path, doc, *commands) == {"codes": [0] * 4, "loaded": []}

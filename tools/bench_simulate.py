@@ -20,10 +20,16 @@ Times, at n = 80 and 320 and for 4001 and 30001 samples at dt = 1e-3:
   outputs with one column per node (repeated columns), each with the time
   column as ``lead``, as ``simulate`` writes them.
 
-It also runs the ``simulate`` command end to end on
-``configs/three_group.json`` with seed 0, at n = 80 with 4001 samples and
-at n = 320 (sizes scaled by 4) with 30001 samples, and records the wall
-time and peak RSS of each CLI process.
+It also runs CLI commands end to end and records the wall time and peak
+RSS of each process:
+
+- ``simulate`` on ``configs/three_group.json`` with seed 0, at n = 80 with
+  4001 samples and at n = 320 (sizes scaled by 4) with 30001 samples;
+- ``reduce``, ``evaluate`` and ``experiment`` (with ``--jobs 1`` and
+  ``--jobs 2``) on the configs of the ``reduce-large``, ``evaluate-band``
+  and ``experiment-pool`` workloads of ``perfbench/workloads.py`` at
+  benchmark seed 7: n = 1280, n = 160 over 12 frequencies, and 8 cells at
+  n = 32 and 64. The ``simulate-step`` workload is the n = 80 run above.
 
 Each measurement runs in a fresh interpreter that imports ``netreduce``
 from either ``--before`` (a source tree of another commit) or this
@@ -59,6 +65,11 @@ SAMPLES = (4001, 30001)
 DT = 1e-3
 # (scale, samples) of the end-to-end `simulate` runs
 SIMULATE_RUNS = ((1, 4001), (4, 30001))
+# benchmark seed of the workload configs run end to end
+BENCH_SEED = 7
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def _reduced(scale):
@@ -176,30 +187,48 @@ def measure():
     return {"times": times, "thread_env": {v: os.environ.get(v) for v in THREAD_VARS}}
 
 
-def simulate_end_to_end(src):
-    """Wall time and peak RSS of each ``SIMULATE_RUNS`` run of the CLI, importing ``src``.
-
-    Each run is one ``python -m netreduce.cli simulate`` process, whose
-    peak RSS ``os.wait4`` reports. That figure includes the memory of the
-    process that started it, so the runs start from this small harness
-    process rather than from a measuring child that has loaded numpy.
-    """
+def end_to_end_runs():
+    """(row name, config document, command, jobs) of every end-to-end run."""
     with open(os.path.join(ROOT, "configs", "three_group.json")) as fh:
         base = json.load(fh)
+    runs = []
+    for scale, samples in SIMULATE_RUNS:
+        sizes = [size * scale for size in base["wsbm"]["sizes"]]
+        doc = dict(
+            base,
+            seeds=[0],
+            wsbm=dict(base["wsbm"], sizes=sizes),
+            sim=dict(base["sim"], t_end=round((samples - 1) * DT, 9)),
+        )
+        runs.append((f"simulate/n={sum(sizes)}/samples={samples}", doc, "simulate", None))
+    reduce_large = WORKLOADS["reduce-large"].make_config(BENCH_SEED)
+    runs.append(("reduce/n=1280", reduce_large, "reduce", None))
+    band = WORKLOADS["evaluate-band"].make_config(BENCH_SEED)
+    runs.append((f"evaluate/n=160/grid={band['grid_size']}", band, "evaluate", None))
+    pool = WORKLOADS["experiment-pool"].make_config(BENCH_SEED)
+    for jobs in (1, 2):
+        runs.append((f"experiment/n=32,64/cells=8/jobs={jobs}", pool, "experiment", jobs))
+    return runs
+
+
+def commands_end_to_end(src):
+    """Wall time and peak RSS of each ``end_to_end_runs`` run of the CLI, importing ``src``.
+
+    Each run is one ``python -m netreduce.cli`` process, whose peak RSS
+    ``os.wait4`` reports; for ``experiment --jobs 2`` that is the largest
+    of the process and its reaped workers. That figure includes the memory
+    of the process that started it, so the runs start from this small
+    harness process rather than from a measuring child that has loaded numpy.
+    """
     times, rss = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for scale, samples in SIMULATE_RUNS:
-            sizes = [size * scale for size in base["wsbm"]["sizes"]]
-            doc = dict(
-                base,
-                seeds=[0],
-                wsbm=dict(base["wsbm"], sizes=sizes),
-                sim=dict(base["sim"], t_end=round((samples - 1) * DT, 9)),
-            )
+        for i, (name, doc, command, jobs) in enumerate(end_to_end_runs()):
             config = os.path.join(tmp, "config.json")
             with open(config, "w") as fh:
                 json.dump(doc, fh)
-            args = ["simulate", "--config", config, "--out", os.path.join(tmp, f"out-{scale}")]
+            args = [command, "--config", config, "--out", os.path.join(tmp, f"out-{i}")]
+            if jobs:
+                args += ["--jobs", str(jobs)]
             t0 = time.perf_counter()
             proc = subprocess.Popen(
                 [sys.executable, "-m", "netreduce.cli", *args],
@@ -209,8 +238,7 @@ def simulate_end_to_end(src):
             wall = time.perf_counter() - t0
             proc.returncode = os.waitstatus_to_exitcode(status)
             if proc.returncode:
-                raise RuntimeError(f"simulate at n = {sum(sizes)} exited {proc.returncode}")
-            name = f"simulate/n={sum(sizes)}/samples={samples}"
+                raise RuntimeError(f"{name} exited {proc.returncode}")
             times[name] = wall
             rss[name] = usage.ru_maxrss / 1024
     return {"times": times, "peak_rss_mb": rss}
@@ -355,7 +383,7 @@ def main(argv=None):
         return 0
 
     def extra(src):
-        more = simulate_end_to_end(src)
+        more = commands_end_to_end(src)
         loops = loop_stages(src)
         more["times"].update(loops["times"])
         more["peak_rss_mb"].update(loops["peak_rss_mb"])
@@ -365,12 +393,13 @@ def main(argv=None):
     doc = {
         "what": "wall time of each simulate stage, before and after, each run in a fresh "
         "interpreter; peak RSS of the interpreter that built the full loop (close_loop rows, "
-        "model sampling and reduction included); wall time and peak RSS of the simulate "
-        "command end to end",
+        "model sampling and reduction included); wall time and peak RSS of the simulate, "
+        "reduce, evaluate and experiment commands end to end",
         "inputs": "stages: eq15 three-group graph (20/40/20 scaled by 1 and 4; close_loop and "
         "realize_reduced also by 16), graph seed 0, swing nodes, f = 1/s, k = 3, dt = 1e-3, "
         "unit step at node 1; simulate: configs/three_group.json, seed 0, sizes scaled by 1 "
-        "and 4, dt = 1e-3",
+        "and 4, dt = 1e-3; reduce, evaluate, experiment: the reduce-large, evaluate-band and "
+        "experiment-pool configs of perfbench/workloads.py at benchmark seed 7",
         "repeats": args.repeats,
         "thread_env": thread_env,
     }

@@ -38,7 +38,10 @@ and compares the two output trees file by file:
   command exits with ``NoFrequencyEvaluated`` naming omega = 0.1;
 - ``evaluate``, ``simulate`` and ``experiment --jobs 2`` on the configs of
   the ``evaluate-band``, ``simulate-step`` and ``experiment-pool``
-  workloads of ``perfbench/workloads.py`` at benchmark seed 7.
+  workloads of ``perfbench/workloads.py`` at benchmark seed 7;
+- ``experiment`` on the ``experiment-pool`` config with ``--jobs 3``
+  (workers of 3, 3 and 2 of its 8 cells) and ``--jobs 20`` (more workers
+  asked for than there are cells).
 
 Every file that differs or exists on one side only is listed, and so is a
 command whose exit code or standard error differs; the exit status is 1 if
@@ -55,12 +58,7 @@ import subprocess
 import sys
 import tempfile
 
-from bench_simulate import ROOT, child_env
-
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
-
-BENCH_SEED = 7
+from bench_simulate import BENCH_SEED, ROOT, WORKLOADS, child_env
 
 
 def runs():
@@ -100,6 +98,9 @@ def runs():
     for name in ("evaluate-band", "simulate-step", "experiment-pool"):
         w = WORKLOADS[name]
         out.append((name, w.make_config(BENCH_SEED), w.command, w.jobs))
+    pool = WORKLOADS["experiment-pool"]
+    for jobs in (3, 20):
+        out.append((f"experiment-pool-jobs{jobs}", pool.make_config(BENCH_SEED), pool.command, jobs))
     return out
 
 
