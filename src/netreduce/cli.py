@@ -201,7 +201,7 @@ def _experiment_cell(args):
             "bound_satisfied": report.bound_satisfied,
             "clustering_success": found,
             "concentration": conc,
-            "lambda_k1": reduced.lambda_next,
+            "lambda_k1": reduced.spectral.lambda_next,
             "refine_objective": reduced.refine_objective,
         }
     except Exception as exc:

@@ -29,7 +29,7 @@ maxima over every frequency's SVD bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -337,15 +337,10 @@ class BandSuprema:
 
 def _check_shapes(model, reduced, sw):
     # the reduced model's eigendata, once it matches the model and the sweep
-    data = reduced.spectral
-    if data is None:
-        raise ModelMismatch("reduced model carries no eigendata (spectral is None, as after from_dict)")
-    sizes = {"model": model.n, "reduced": reduced.n, "eigendata": data.n, "sweep": sw.ginv.shape[1]}
+    sizes = {"model": model.n, "reduced": reduced.n, "sweep": sw.ginv.shape[1]}
     if len(set(sizes.values())) > 1:
         raise ModelMismatch(f"node counts differ: {sizes}")
-    if reduced.k != data.k:
-        raise ModelMismatch(f"reduced model has k={reduced.k}, eigendata k={data.k}")
-    return data
+    return reduced.spectral
 
 
 class _BandPass:
@@ -437,8 +432,8 @@ def band_error(model, reduced, sw):
     Frequencies where the loop is near singular or some node
     inverse, aggregate or the coupling has a pole are recorded as failures,
     not fatal; NoFrequencyEvaluated is raised when every frequency fails.
-    Inputs of different networks, or a reduced model without eigendata,
-    raise ModelMismatch, and a sweep off the imaginary axis ValueError.
+    Inputs of different networks raise ModelMismatch, and a sweep off the
+    imaginary axis ValueError.
 
     The per-frequency pass is :class:`_BandPass`. The dense n x n SVDs are
     those of the two differences against T_yu, two per frequency, and those
@@ -522,8 +517,7 @@ class PassivityReport:
     """Grid certificate for passivity/boundedness quantities.
 
     gamma bounds |g_i(jw)|^2 / Re(g_i(jw)) over nodes and grid, m_eta bounds
-    |1/g_i(jw)|, f_lower is the minimum coupling magnitude. ``grid`` holds
-    the frequencies, ``grid[-1]`` the band edge eta. This is a grid
+    |1/g_i(jw)|, f_lower is the minimum coupling magnitude. This is a grid
     certificate, not a proof: quantities are tested on finitely many
     frequencies only.
     """
@@ -531,16 +525,12 @@ class PassivityReport:
     gamma: float
     m_eta: float
     f_lower: float
-    grid: np.ndarray = field(repr=False)
     coupling_real_on_axis: bool = True
     coupling_max_imag: float = 0.0
 
     def __post_init__(self):
         if not (self.gamma > 0 and self.m_eta > 0 and self.f_lower > 0):
             raise ValueError("gamma, m_eta and f_lower must be positive")
-        g = np.asarray(self.grid, dtype=float)
-        if g.size == 0 or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be nonempty and strictly increasing")
 
 
 def passivity_check(sw):
@@ -581,7 +571,6 @@ def passivity_check(sw):
         gamma=gamma,
         m_eta=m_eta,
         f_lower=f_lower,
-        grid=points,
         coupling_real_on_axis=real_on_axis,
         coupling_max_imag=max_imag,
     )

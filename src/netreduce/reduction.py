@@ -65,8 +65,8 @@ def refine_embedding(data, partition):
 
     Parameters
     ----------
-    data : SpectralData or ndarray
-        Embedding with orthonormal columns whose first column is the
+    data : ndarray
+        n x k embedding with orthonormal columns whose first column is the
         normalized all-ones vector (the Laplacian kernel direction).
     partition : Partition
         Fixed k-way partition; must have as many blocks as embedding columns.
@@ -77,7 +77,7 @@ def refine_embedding(data, partition):
         With the optimal S, the refined embedding V_hat = P S, and the
         attained squared-Frobenius objective.
     """
-    v = data.v_k if isinstance(data, SpectralData) else np.asarray(data, dtype=float)
+    v = np.asarray(data, dtype=float)
     n, k = v.shape
     if partition.k != k:
         raise ValueError(f"partition has {partition.k} blocks, embedding has {k} columns")
@@ -152,27 +152,28 @@ def reduced_laplacian(s_matrix, lambda_k):
 class ReducedModel:
     """Structure-preserving reduced network produced by the pipeline.
 
-    Carries the partition, the retained eigenvalues, the reduced Laplacian,
-    the full model's node tuple ``nodes`` (aggregate j is the harmonic sum
-    over ``partition.blocks()[j]``), the refinement matrix, the (unchanged)
-    coupling dynamics, and pipeline diagnostics. ``spectral`` is the
-    bottom-k eigendata the reduction was built from (kernel eigenvalue set
-    to zero); it is not serialized, so ``from_dict`` leaves it None.
+    Carries the partition, the bottom-k eigendata ``spectral`` the
+    reduction was built from (kernel eigenvalue set to zero; its
+    ``lambda_next`` is the Theorem-1 constant), the reduced Laplacian, the
+    full model's node tuple ``nodes`` (aggregate j is the harmonic sum over
+    ``partition.blocks()[j]``), the refinement matrix, the (unchanged)
+    coupling dynamics, and pipeline diagnostics.
     """
 
     partition: Partition
-    lambda_k: np.ndarray
+    spectral: SpectralData = field(repr=False)
     l_k: np.ndarray = field(repr=False)
     nodes: tuple = field(repr=False)
     s_matrix: np.ndarray = field(repr=False)
     coupling: RationalTF = None
-    lambda_next: float | None = None
     refine_objective: float = 0.0
     clustering_wcss: float = 0.0
     degenerate_refinement: bool = False
-    spectral: SpectralData | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        data, part = self.spectral, self.partition
+        if (data.n, data.k) != (part.n, part.k):
+            raise ValueError(f"eigendata has n={data.n}, k={data.k}; partition n={part.n}, k={part.k}")
         l_k = np.asarray(self.l_k, dtype=float)
         scale = 1.0 + np.abs(l_k).max()
         if np.abs(l_k - l_k.T).max() > 1e-8 * scale:
@@ -193,17 +194,19 @@ class ReducedModel:
     def to_dict(self):
         """Self-contained document of the reduced network.
 
-        :meth:`from_dict` rebuilds from it the partition, the retained
-        eigenvalues, ``l_k``, ``s_matrix``, the member transfer functions and
-        the coupling: enough to rebuild the reduced network and simulate it
-        (``realize_reduced``). The eigendata (``spectral``) are not stored,
-        so a model read back cannot be band-evaluated.
+        :meth:`from_dict` rebuilds from it the partition, the eigendata
+        (``lambda_k``, ``lambda_next`` and the n x k ``embedding``),
+        ``l_k``, ``s_matrix``, the member transfer functions and the
+        coupling. Floats written by ``dump_json`` read back exactly, so a
+        model read back band-evaluates and simulates as the one written.
         """
+        data = self.spectral
         return {
             "assignment": self.partition.assignment.tolist(),
             "k": self.k,
-            "lambda_k": self.lambda_k.tolist(),
-            "lambda_next": self.lambda_next,
+            "lambda_k": data.lambda_k.tolist(),
+            "lambda_next": data.lambda_next,
+            "embedding": data.v_k.tolist(),
             "l_k": self.l_k.tolist(),
             "s_matrix": self.s_matrix.tolist(),
             "coupling": self.coupling.to_dict() if self.coupling else None,
@@ -229,12 +232,15 @@ class ReducedModel:
             raise ValueError(f"aggregates list no dynamics for node {nodes.index(None)}")
         return cls(
             partition=Partition(doc["assignment"], doc["k"]),
-            lambda_k=np.asarray(doc["lambda_k"], dtype=float),
+            spectral=SpectralData(
+                np.asarray(doc["lambda_k"], dtype=float),
+                np.asarray(doc["embedding"], dtype=float),
+                doc["lambda_next"],
+            ),
             l_k=np.asarray(doc["l_k"], dtype=float),
             nodes=tuple(nodes),
             s_matrix=np.asarray(doc["s_matrix"], dtype=float),
             coupling=RationalTF(**doc["coupling"]) if doc["coupling"] else None,
-            lambda_next=doc["lambda_next"],
             refine_objective=doc["refine_objective"],
             clustering_wcss=doc["clustering_wcss"],
             degenerate_refinement=doc["degenerate_refinement"],
@@ -273,8 +279,8 @@ def run_algorithm_1(model, k, seed=0, restarts=50):
         if k == 1:
             partition = Partition(np.zeros(n, dtype=np.int64), 1)
         else:
-            partition = cluster_embedding(spec, k, restarts=restarts, seed=seed)
-        wcss = wcss_of(spec, partition)
+            partition = cluster_embedding(spec.v_k, k, restarts=restarts, seed=seed)
+        wcss = wcss_of(spec.v_k, partition)
     except Exception as exc:
         raise ReductionFailed("clustering", str(exc)) from exc
 
@@ -286,7 +292,7 @@ def run_algorithm_1(model, k, seed=0, restarts=50):
                 raise ReductionFailed("aggregation", msg)
 
     try:
-        refined = refine_embedding(spec, partition)
+        refined = refine_embedding(spec.v_k, partition)
     except Exception as exc:
         raise ReductionFailed("refinement", str(exc)) from exc
 
@@ -297,14 +303,12 @@ def run_algorithm_1(model, k, seed=0, restarts=50):
 
     return ReducedModel(
         partition=partition,
-        lambda_k=spec.lambda_k,
+        spectral=spec,
         l_k=l_k,
         nodes=model.nodes,
         s_matrix=refined.s_matrix,
         coupling=model.coupling,
-        lambda_next=spec.lambda_next,
         refine_objective=refined.objective,
         clustering_wcss=wcss,
         degenerate_refinement=refined.degenerate,
-        spectral=spec,
     )

@@ -354,7 +354,7 @@ def _canonical_labels(labels, centroids):
 
 
 def cluster_embedding(data, k, restarts=50, seed=0, max_iter=300):
-    """k-means on the rows of the spectral embedding.
+    """k-means on the rows of the spectral embedding ``data``, an n x d array.
 
     k-means++ initialization, best of ``restarts`` runs by within-cluster
     sum of squares, assignment ties broken toward the lowest cluster index,
@@ -373,10 +373,7 @@ def cluster_embedding(data, k, restarts=50, seed=0, max_iter=300):
     1e-154 apart) that their squared distance underflows to zero, which
     k-means++ cannot tell from equal rows.
     """
-    if isinstance(data, SpectralData):
-        x = np.asarray(data.v_k, dtype=float)
-    else:
-        x = np.asarray(data, dtype=float)
+    x = np.asarray(data, dtype=float)
     n = x.shape[0]
     if x.shape[1] < k:
         raise KTooLarge(f"embedding has {x.shape[1]} columns < k={k}")
@@ -402,8 +399,6 @@ def cluster_embedding(data, k, restarts=50, seed=0, max_iter=300):
 
 def wcss_of(x, partition):
     """Within-cluster sum of squares of embedding rows under a partition."""
-    if isinstance(x, SpectralData):
-        x = x.v_k
     x = np.asarray(x, dtype=float)
     total = 0.0
     for idx in partition.blocks():

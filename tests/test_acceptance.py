@@ -381,10 +381,10 @@ def draws(eq15_params):
     for seed in range(20):
         lap = laplacian(sample_adjacency(eq15_params, seed))
         data = bottom_k_eig(lap, 3)
-        part = cluster_embedding(data, 3, restarts=50, seed=seed)
+        part = cluster_embedding(data.v_k, 3, restarts=50, seed=seed)
         if not part.same_blocks(true_part):
             continue
-        res = refine_embedding(data, true_part)
+        res = refine_embedding(data.v_k, true_part)
         rep = sin_theta(data.v_k, v_blk)
         err_norm = spectral_norm(lap - l_blk)
         out.append((data, res, rep, err_norm, np.linalg.eigvalsh(lap), blk_eigs))

@@ -16,8 +16,9 @@ from netreduce import cli
 from netreduce.cli import _forked_map, main
 from netreduce.config import build_model, config_from_dict, load_config
 from netreduce.errors import ConfigError, ReductionFailed
+from netreduce.evaluation import band_error, band_suprema, sweep
 from netreduce.io import read_matrix_csv
-from netreduce.reduction import run_algorithm_1
+from netreduce.reduction import ReducedModel, run_algorithm_1
 from netreduce.simulate import realize_reduced
 from netreduce.spectral import _DENSE_MAX_N
 
@@ -284,6 +285,30 @@ class TestReduce:
         assert doc["clustering_matches_true"] is True
         emb = read_matrix_csv(out / "embedding_seed0.csv")
         assert emb.shape == (80, 3)
+        # the CSV is a second copy of the document's embedding
+        assert np.asarray(doc["embedding"]).tobytes() == emb.tobytes()
+
+    def test_document_read_back_evaluates_as_written(self, tmp_path):
+        # a model read from reduced_seed0.json gives the band reports and
+        # the realization of the model reduced in process, bit for bit
+        doc = base_config()
+        out = tmp_path / "run"
+        assert main(["reduce", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        with open(out / "reduced_seed0.json") as fh:
+            read = ReducedModel.from_dict(json.load(fh))
+        config = config_from_dict(doc)
+        model, _, _, reduced, _ = cli._reduce_one(config, 0)
+        sw = sweep(model, cli._grid(config))
+        got, want = band_error(model, read, sw), band_error(model, reduced, sw)
+        assert got.rows() == want.rows()
+        for name in ("hinf_t_yu", "hinf_t_hat_k", "err_struct", "failures"):
+            assert getattr(got, name) == getattr(want, name)
+        got, want = band_suprema(model, read, sw), band_suprema(model, reduced, sw)
+        for name in ("sup_err", "bound_satisfied", "failures"):
+            assert getattr(got, name) == getattr(want, name)
+        got, want = realize_reduced(read), realize_reduced(reduced)
+        for name in "abcd":
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_rerun_identical(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

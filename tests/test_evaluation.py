@@ -226,18 +226,16 @@ class TestBandError:
         model = NetworkModel(nodes=nodes, coupling=COUPLING_INTEGRATOR, laplacian=l_blk)
         data = bottom_k_eig(l_blk, n)
         part = Partition(np.arange(n), n)
-        res = refine_embedding(data, part)
+        res = refine_embedding(data.v_k, part)
         l_k = reduced_laplacian(res.s_matrix, data.lambda_k)
         reduced = ReducedModel(
             partition=part,
-            lambda_k=data.lambda_k,
+            spectral=data,
             l_k=l_k,
             nodes=tuple(nodes),
             s_matrix=res.s_matrix,
             coupling=COUPLING_INTEGRATOR,
-            lambda_next=None,
             refine_objective=res.objective,
-            spectral=data,
         )
         grid = log_grid(1e-3, 10.0, 25)
         report = band_error(model, reduced, sweep(model, grid))
@@ -276,7 +274,7 @@ class TestBandError:
         reduced = run_algorithm_1(model, 3, seed=2)
         data = bottom_k_eig(model.laplacian, 3)
         part = reduced.partition
-        res = refine_embedding(data, part)
+        res = refine_embedding(data.v_k, part)
         v_dist = float(np.linalg.norm(data.v_k - res.v_hat))
         report = passivity_check(sweep(model, log_grid(1e-3, 10.0, 200)))
         budget = 2 * (report.gamma + report.gamma**2 * report.m_eta) * v_dist
@@ -294,17 +292,9 @@ class TestBandError:
         grid = log_grid(1e-3, 10.0, 20)
         with pytest.raises(ModelMismatch, match="node counts differ"):
             band_error(large, reduced, sweep(large, grid))
-        with pytest.raises(ModelMismatch, match="k=3, eigendata k=4"):
-            band_error(small, replace(reduced, spectral=bottom_k_eig(small.laplacian, 4)), sweep(small, grid))
-
-    def test_reduced_model_without_eigendata_raises(self, eq15_params):
-        # from_dict does not restore the eigendata the band readers take
-        model, _ = make_swing_model(eq15_params, seed=0)
-        reduced = ReducedModel.from_dict(run_algorithm_1(model, 3, seed=0).to_dict())
-        sw = sweep(model, log_grid(1e-3, 10.0, 5))
-        for reader in (band_error, band_suprema):
-            with pytest.raises(ModelMismatch, match="no eigendata"):
-                reader(model, reduced, sw)
+        # eigendata of another k cannot be put on the reduced model at all
+        with pytest.raises(ValueError, match="k=4; partition n=80, k=3"):
+            replace(reduced, spectral=bottom_k_eig(small.laplacian, 4))
 
     def test_sweep_of_points_j_omega_is_a_band(self, eq15_params):
         # a Sweep built from its points reads as the sweep of their omegas
@@ -314,7 +304,9 @@ class TestBandError:
         built, direct = sweep(model, omega), evaluation.Sweep(model, 1j * omega)
         assert band_error(model, reduced, direct).rows() == band_error(model, reduced, built).rows()
         assert band_suprema(model, reduced, direct).sup_err == band_suprema(model, reduced, built).sup_err
-        np.testing.assert_array_equal(passivity_check(direct).grid, omega)
+        cert_direct, cert_built = passivity_check(direct), passivity_check(built)
+        for name in ("gamma", "m_eta", "f_lower"):
+            assert getattr(cert_direct, name) == getattr(cert_built, name)
 
     def test_sweep_off_the_imaginary_axis_raises(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=0)
@@ -389,15 +381,14 @@ class TestBandError:
 def _misclustered(model, data):
     # labels i mod 3 cut across the true blocks
     part = Partition(np.arange(model.n) % 3, 3)
-    res = refine_embedding(data, part)
+    res = refine_embedding(data.v_k, part)
     return ReducedModel(
         partition=part,
-        lambda_k=data.lambda_k,
+        spectral=data,
         l_k=reduced_laplacian(res.s_matrix, data.lambda_k),
         nodes=model.nodes,
         s_matrix=res.s_matrix,
         coupling=model.coupling,
-        spectral=data,
     )
 
 
@@ -599,12 +590,11 @@ class TestGridPass:
         part = Partition(np.array([0, 0, 1, 1]), 2)
         reduced = ReducedModel(
             partition=part,
-            lambda_k=np.array([0.0, 2.0]),
+            spectral=data or bottom_k_eig(model.laplacian, 2),
             l_k=np.array([[1.0, -1.0], [-1.0, 1.0]]),
             nodes=tuple(nodes),
             s_matrix=np.eye(2),
             coupling=UNIT_GAIN,
-            spectral=data or bottom_k_eig(model.laplacian, 2),
         )
         grid = np.array([0.5, 1.0, 2.0])
         return band_error(model, reduced, sweep(model, grid))
@@ -635,12 +625,11 @@ def _decoupled_report(model, grid):
     n = model.n
     reduced = ReducedModel(
         partition=Partition(np.arange(n), n),
-        lambda_k=np.zeros(n),
+        spectral=SpectralData(np.zeros(n), np.eye(n)),
         l_k=np.zeros((n, n)),
         nodes=model.nodes,
         s_matrix=np.eye(n),
         coupling=model.coupling,
-        spectral=SpectralData(np.zeros(n), np.eye(n)),
     )
     return band_error(model, reduced, sweep(model, grid))
 

@@ -5,6 +5,7 @@ from netreduce import (
     DisconnectedGraph,
     KTooLarge,
     NetworkModel,
+    NotOrthonormal,
     Partition,
     RationalTF,
     ReducedModel,
@@ -58,7 +59,7 @@ class TestRefineEmbedding:
     def test_ideal_embedding_attains_zero(self, eq15_params):
         l_blk, _ = expected_laplacian(eq15_params)
         data = bottom_k_eig(l_blk, 3)
-        res = refine_embedding(data, eq15_params.true_partition())
+        res = refine_embedding(data.v_k, eq15_params.true_partition())
         assert res.objective <= 1e-18
         np.testing.assert_allclose(res.v_hat, data.v_k, atol=1e-9)
 
@@ -66,7 +67,7 @@ class TestRefineEmbedding:
         lap = laplacian(sample_adjacency(eq15_params, 0))
         data = bottom_k_eig(lap, 3)
         part = eq15_params.true_partition()
-        res = refine_embedding(data, part)
+        res = refine_embedding(data.v_k, part)
         n = eq15_params.n
         np.testing.assert_allclose(res.s_matrix[:, 0], np.full(3, 1 / np.sqrt(n)), atol=1e-12)
         gram = res.s_matrix.T @ np.diag(part.sizes.astype(float)) @ res.s_matrix
@@ -155,7 +156,7 @@ class TestBlockIdealCheck:
         l_blk, _ = expected_laplacian(eq15_params)
         assert block_spectrum_oracle(eq15_params).delta > 0
         data = bottom_k_eig(l_blk, 3)
-        is_ideal, residual = block_ideal_check(data, eq15_params.true_partition())
+        is_ideal, residual = block_ideal_check(data.v_k, eq15_params.true_partition())
         assert is_ideal
         assert residual <= 1e-8
 
@@ -166,13 +167,13 @@ class TestBlockIdealCheck:
         assert block_spectrum_oracle(params).delta > 0
         l_blk, _ = expected_laplacian(params)
         data = bottom_k_eig(l_blk, params.k)
-        is_ideal, residual = block_ideal_check(data, params.true_partition())
+        is_ideal, residual = block_ideal_check(data.v_k, params.true_partition())
         assert is_ideal, f"residual {residual}"
 
     def test_sampled_laplacian_is_not_ideal(self, eq15_params):
         lap = laplacian(sample_adjacency(eq15_params, 1))
         data = bottom_k_eig(lap, 3)
-        is_ideal, residual = block_ideal_check(data, eq15_params.true_partition())
+        is_ideal, residual = block_ideal_check(data.v_k, eq15_params.true_partition())
         assert not is_ideal
         assert residual > 1e-6
 
@@ -206,7 +207,7 @@ class TestReducedLaplacian:
         params = WsbmParams((m, m), np.ones((2, 2)), params_b)
         l_blk, _ = expected_laplacian(params)
         data = bottom_k_eig(l_blk, 2)
-        res = refine_embedding(data, params.true_partition())
+        res = refine_embedding(data.v_k, params.true_partition())
         l_k = reduced_laplacian(res.s_matrix, data.lambda_k)
         lam2 = data.lambda_k[1]
         pattern = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -219,7 +220,7 @@ class TestReducedLaplacian:
         lap = laplacian(sample_adjacency(eq15_params, 4))
         data = bottom_k_eig(lap, 3)
         part = eq15_params.true_partition()
-        res = refine_embedding(data, part)
+        res = refine_embedding(data.v_k, part)
         l_k = reduced_laplacian(res.s_matrix, data.lambda_k)
         import scipy.linalg
 
@@ -257,7 +258,7 @@ class TestRunAlgorithm1:
         assert reduced.partition.same_blocks(eq15_params.true_partition())
         assert reduced.nodes is model.nodes
         assert sorted(len(idx) for idx in reduced.partition.blocks()) == [20, 20, 40]
-        assert reduced.lambda_next > 100
+        assert reduced.spectral.lambda_next > 100
         assert reduced.refine_objective > 0
 
     def test_zero_numerator_node_fails_aggregation(self):
@@ -293,20 +294,27 @@ class TestRunAlgorithm1:
         # the kernel eigenvalue is zeroed, the others kept as computed
         assert spec.lambda_k[0] == 0.0
         assert spec.lambda_k[1:].tobytes() == fresh.lambda_k[1:].tobytes()
-        assert spec.lambda_k.tobytes() == reduced.lambda_k.tobytes()
 
     def test_document_round_trip(self, eq15_params):
         model, _ = make_swing_model(eq15_params, seed=2)
         reduced = run_algorithm_1(model, 3, seed=2)
         doc = reduced.to_dict()
         clone = ReducedModel.from_dict(doc)
-        assert clone.spectral is None
+        for name in ("lambda_k", "v_k"):
+            assert getattr(clone.spectral, name).tobytes() == getattr(reduced.spectral, name).tobytes()
+        assert clone.spectral.lambda_next == reduced.spectral.lambda_next
         assert clone.nodes == reduced.nodes
         assert clone.to_dict() == doc
         s = 0.1 + 1.3j
         np.testing.assert_allclose(
             eval_t_hat_k(model, clone, s), eval_t_hat_k(model, reduced, s), rtol=1e-12
         )
+        # a bad embedding fails the eigendata's own checks
+        emb = np.asarray(doc["embedding"])
+        with pytest.raises(ValueError, match="one column per eigenvalue"):
+            ReducedModel.from_dict(dict(doc, embedding=emb[:, :2].tolist()))
+        with pytest.raises(NotOrthonormal):
+            ReducedModel.from_dict(dict(doc, embedding=(2.0 * emb).tolist()))
         # every node needs its dynamics in the document
         del doc["aggregates"][1]["members"][0]
         with pytest.raises(ValueError, match="no dynamics for node"):

@@ -311,7 +311,7 @@ class TestClusterEmbedding:
         for seed in range(20):
             lap = laplacian(sample_adjacency(eq15_params, seed))
             data = bottom_k_eig(lap, 3)
-            found = cluster_embedding(data, 3, restarts=50, seed=seed)
+            found = cluster_embedding(data.v_k, 3, restarts=50, seed=seed)
             hits += found.same_blocks(true)
         assert hits / 20 >= 0.8
 

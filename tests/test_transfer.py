@@ -92,7 +92,7 @@ class TestTfEval:
         re=st.floats(-3, 3),
         im=st.floats(-3, 3),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(derandomize=True, max_examples=60, deadline=None)
     def test_reciprocal_identity(self, num, den_low, re, im):
         # 1 / g(s) must match the evaluation of the coefficient-swapped
         # function, wherever both are well-defined
@@ -254,9 +254,10 @@ class TestPassivityCheck:
 
     def test_gamma_dominates_every_grid_point(self):
         model = _two_node_model([first_order_swing(2.0, 0.7), first_order_swing(1.0, 1.3)])
-        report = passivity_check(sweep(model, log_grid(1e-3, 10.0, 100)))
+        omega = log_grid(1e-3, 10.0, 100)
+        report = passivity_check(sweep(model, omega))
         for g in model.nodes:
-            vals = np.array([tf_eval(g, 1j * w) for w in report.grid])
+            vals = np.array([tf_eval(g, 1j * w) for w in omega])
             assert np.all(np.abs(vals) ** 2 / vals.real <= report.gamma * (1 + 1e-12))
 
     def test_coupling_lower_estimate_integrator(self):

@@ -13,9 +13,7 @@ ratio 1:2:1, swing nodes, f = 1/s, k = 3, graph seed 0):
   at n = 32, 64, 160 and 320: ``band_error`` (``evaluate``'s table with
   the H-infinity estimates) and ``band_suprema`` (``sup_err`` and
   ``bound_satisfied`` of an ``experiment`` cell), each timed with building
-  the ``sweep`` of the model it reads; on a tree whose readers take the
-  eigendata as an argument too, its ``sweep`` reads the frequencies from
-  the ``points`` of a grid object;
+  the ``sweep`` of the model it reads;
 - one ``experiment`` cell (``cli._experiment_cell``) of the
   ``experiment-pool`` workload's config at n = 32, 64 and 320 (scales 1, 2
   and 10): the first cell of the process, which pays lazy imports, and the
@@ -34,13 +32,11 @@ recorded.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import statistics
 import sys
 import time
-from types import SimpleNamespace
 
 from bench_simulate import THREAD_VARS, compare, parse_args, write_report
 
@@ -126,14 +122,10 @@ def measure():
     for n in CLUSTER_N:
         model, _, _ = build_model(config_from_dict(_doc(n)), 0)
         data = bottom_k_eig(model.laplacian, 3)
-        stage(f"cluster_embedding/n={n}", lambda: cluster_embedding(data, 3, restarts=50, seed=0))
+        stage(f"cluster_embedding/n={n}", lambda: cluster_embedding(data.v_k, 3, restarts=50, seed=0))
     omega = log_grid(1e-3, 10.0, GRID_SIZE)
-    old = "data" in inspect.signature(evaluation.band_error).parameters
 
     def band(reader, model, reduced):
-        if old:  # reader(model, reduced, eigendata, sweep of a grid object)
-            sw = evaluation.sweep(model, SimpleNamespace(points=omega))
-            return reader(model, reduced, reduced.spectral, sw)
         return reader(model, reduced, evaluation.sweep(model, omega))
 
     for n in BAND_N:

@@ -36,9 +36,11 @@ and compares the two output trees file by file:
 - ``evaluate`` on that grid with (s^2 + w^2)/(s + 1)^2 at nodes 0, 1 and
   2 for w = 0.1, 1 and 10, so that every grid frequency is a gap and the
   command exits with ``NoFrequencyEvaluated`` naming omega = 0.1;
-- ``evaluate``, ``simulate`` and ``experiment --jobs 2`` on the configs of
-  the ``evaluate-band``, ``simulate-step`` and ``experiment-pool``
-  workloads of ``perfbench/workloads.py`` at benchmark seed 7;
+- ``reduce``, ``evaluate``, ``simulate`` and ``experiment --jobs 2`` on
+  the configs of the ``reduce-large``, ``evaluate-band``, ``simulate-step``
+  and ``experiment-pool`` workloads of ``perfbench/workloads.py`` at
+  benchmark seed 7; ``reduce-large`` (n = 1280) is the only run above
+  n = 1024, where ``bottom_k_eig`` takes its Chebyshev-filter branch;
 - ``experiment`` on the ``experiment-pool`` config with ``--jobs 3``
   (workers of 3, 3 and 2 of its 8 cells) and ``--jobs 20`` (more workers
   asked for than there are cells).
@@ -95,7 +97,7 @@ def runs():
             tfs[i] = {"num": [w * w, 0.0, 1.0], "den": [1.0, 2.0, 1.0]}
         gaps = dict(base, seeds=[0], omega_min=0.1, eta=10.0, grid_size=3, nodes={"preset": "explicit", "tfs": tfs})
         out.append((f"three_group-{name}-evaluate", gaps, "evaluate", 1))
-    for name in ("evaluate-band", "simulate-step", "experiment-pool"):
+    for name in ("reduce-large", "evaluate-band", "simulate-step", "experiment-pool"):
         w = WORKLOADS[name]
         out.append((name, w.make_config(BENCH_SEED), w.command, w.jobs))
     pool = WORKLOADS["experiment-pool"]
