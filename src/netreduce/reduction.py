@@ -227,7 +227,7 @@ class ReducedModel:
         nodes = [None] * len(doc["assignment"])
         for agg in doc["aggregates"]:
             for i, d in zip(agg["members"], agg["member_tfs"]):
-                nodes[i] = RationalTF(d["num"], d["den"])
+                nodes[i] = RationalTF.from_dict(d)
         if None in nodes:
             raise ValueError(f"aggregates list no dynamics for node {nodes.index(None)}")
         return cls(
@@ -240,7 +240,7 @@ class ReducedModel:
             l_k=np.asarray(doc["l_k"], dtype=float),
             nodes=tuple(nodes),
             s_matrix=np.asarray(doc["s_matrix"], dtype=float),
-            coupling=RationalTF(**doc["coupling"]) if doc["coupling"] else None,
+            coupling=RationalTF.from_dict(doc["coupling"]) if doc["coupling"] else None,
             refine_objective=doc["refine_objective"],
             clustering_wcss=doc["clustering_wcss"],
             degenerate_refinement=doc["degenerate_refinement"],

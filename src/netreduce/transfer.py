@@ -71,9 +71,6 @@ class RationalTF:
     def degree(self):
         return len(self.den) - 1
 
-    def __call__(self, s):
-        return tf_eval(self, s)
-
     def to_dict(self):
         return {"num": list(self.num), "den": list(self.den)}
 

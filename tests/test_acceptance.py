@@ -15,7 +15,6 @@ from netreduce import (
     Partition,
     ResponseDeviation,
     Sweep,
-    WsbmParams,
     band_error,
     band_suprema,
     block_spectrum_oracle,
@@ -57,14 +56,6 @@ def _report(criterion, ok, detail):
     return ok
 
 
-def _swing_model_from_params(params, seed):
-    lap = laplacian(sample_adjacency(params, seed))
-    rng = np.random.default_rng([seed, 1])
-    nodes, _, d = sample_swing_nodes(params.n, rng)
-    model = NetworkModel(nodes=nodes, coupling=COUPLING_INTEGRATOR, laplacian=lap)
-    return model, 1.0 / float(d.min())
-
-
 class TestCriterion1:
     def test_theorem1_bound_never_violated(self):
         # 50 random models (n <= 120, k in {2,3,4}), 200 grid frequencies:
@@ -76,7 +67,7 @@ class TestCriterion1:
         rng = np.random.default_rng(2024)
         for trial in range(50):
             params = random_wsbm(rng, k=int(rng.integers(2, 5)))
-            model, _ = _swing_model_from_params(params, trial)
+            model, _ = make_swing_model(params, trial)
             data = bottom_k_eig(model.laplacian, params.k)
             lam_next = data.lambda_next
             # one sweep of the trial's points, which gives each point the
@@ -249,7 +240,7 @@ class TestCriterion6:
             hits = 0
             runs = 0
             for seed in range(20):
-                model, _ = _swing_model_from_params(params, seed)
+                model, _ = make_swing_model(params, seed)
                 reduced = run_algorithm_1(model, 3, seed=seed)
                 runs += 1
                 if reduced.partition.same_blocks(true_part):
@@ -290,7 +281,7 @@ def sim_results(eq15_params):
     results = []
     true_part = eq15_params.true_partition()
     for seed in range(20):
-        model, _ = _swing_model_from_params(eq15_params, seed)
+        model, _ = make_swing_model(eq15_params, seed)
         reduced = run_algorithm_1(model, 3, seed=seed)
         if not reduced.partition.same_blocks(true_part):
             continue

@@ -23,8 +23,6 @@ from netreduce import (
     log_grid,
     passivity_check,
     run_algorithm_1,
-    sample_adjacency,
-    sin_theta,
     spectral_norm,
     sweep,
     theorem1_bound,
@@ -556,7 +554,7 @@ class TestGridPass:
             t_k = eval_t_k(model, data, s)
             t_hat = eval_t_hat_k(model, reduced, s)
             m1 = spectral_norm(data.v_k.T @ t_k @ data.v_k)
-            m2 = float(np.max(1.0 / np.abs([g(s) for g in model.nodes])))
+            m2 = float(np.max(1.0 / np.abs([tf_eval(g, s) for g in model.nodes])))
             f_abs = abs(tf_eval(model.coupling, s))
             want = {
                 "err": spectral_norm(t_yu - t_hat),

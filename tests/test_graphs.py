@@ -16,7 +16,7 @@ from netreduce import (
 
 from netreduce.graphs import check_symmetric
 
-from conftest import EQ15_Q, EQ15_SIZES, EQ15_W, random_wsbm
+from conftest import EQ15_SIZES, EQ15_W, random_wsbm
 
 
 def _vectorized_adjacency(params, seed):

@@ -60,7 +60,7 @@ import subprocess
 import sys
 import tempfile
 
-from bench_simulate import BENCH_SEED, ROOT, WORKLOADS, child_env
+from bench import BENCH_SEED, ROOT, WORKLOADS, child_env
 
 
 def runs():
