@@ -190,7 +190,7 @@ def _experiment_cell(args):
     try:
         model, params, _, reduced, found = _reduce_one(config, seed, scale)
         report = band_suprema(model, reduced, sweep(model, _grid(config)))
-        l_blk, _ = expected_laplacian(params)
+        l_blk = expected_laplacian(params)
         conc = concentration(model.laplacian, l_blk)
         return {
             "scale": scale,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,26 +23,26 @@ from .transfer import NetworkModel, RationalTF, sample_swing_nodes
 
 @dataclass(frozen=True, eq=False)
 class SimSettings:
-    dt: float = 1e-3
-    t_end: float = 30.0
-    input_node: int = 1  # 0-based node index receiving the unit step
+    dt: float
+    t_end: float
+    input_node: int  # 0-based node index receiving the unit step
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated, immutable experiment description."""
+    """Validated, immutable experiment description; ``config_from_dict`` sets the defaults."""
 
     wsbm: WsbmParams
     nodes: dict
     coupling: RationalTF
     k: int
-    eta: float = 10.0
-    omega_min: float = 1e-3
-    grid_size: int = 200
-    seeds: tuple = (0,)
-    scales: tuple = (1,)
-    restarts: int = 50
-    sim: SimSettings = field(default_factory=SimSettings)
+    eta: float
+    omega_min: float
+    grid_size: int
+    seeds: tuple
+    scales: tuple
+    restarts: int
+    sim: SimSettings
 
     def to_dict(self):
         return {
@@ -245,11 +245,11 @@ def build_nodes(config, n, seed):
 def build_model(config, seed, scale=1):
     """Sample one network model: graph from the WSBM, nodes from the preset.
 
-    Returns (model, params, gamma) where params carries the (possibly
-    scaled) block sizes and gamma the analytic passivity certificate when
+    Returns (model, params, gamma) where params carries the block sizes
+    scaled by ``scale`` and gamma the analytic passivity certificate when
     available.
     """
-    params = config.wsbm if scale == 1 else config.wsbm.scaled(scale)
+    params = config.wsbm.scaled(scale)
     lap = laplacian(sample_adjacency(params, seed))
     nodes, gamma = build_nodes(config, params.n, seed)
     model = NetworkModel(nodes=nodes, coupling=config.coupling, laplacian=lap)

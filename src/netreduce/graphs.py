@@ -243,15 +243,14 @@ def laplacian(a):
 
 
 def expected_laplacian(params):
-    """Expected Laplacian of the model and the block matrix B = Q o W.
+    """Expected Laplacian L_blk = dg{A_blk 1} - A_blk of the model.
 
-    Returns (L_blk, B) where L_blk = dg{A_blk 1} - A_blk for the expected
-    adjacency A_blk = P B P^T with P the block indicator matrix.
+    A_blk = P B P^T is the expected adjacency, with B = Q o W (``params.b``)
+    and P the block indicator matrix.
     """
-    b = params.b
     p = params.true_partition().indicator()
-    a_blk = p @ b @ p.T
-    return np.diag(a_blk.sum(axis=1)) - a_blk, b
+    a_blk = p @ params.b @ p.T
+    return np.diag(a_blk.sum(axis=1)) - a_blk
 
 
 def block_spectrum_oracle(params):
@@ -265,7 +264,6 @@ def block_spectrum_oracle(params):
     """
     b = params.b
     ns = np.asarray(params.sizes, dtype=float)
-    k = params.k
 
     b_tilde_rowsum = (b * ns[None, :]).sum(axis=1)
     sq = np.sqrt(ns)
@@ -277,7 +275,7 @@ def block_spectrum_oracle(params):
 
     rho = ns.max() / ns.min()
     off_rowsum = b.sum(axis=1) - np.diag(b)
-    delta = float(np.diag(b).min() - 2.0 * rho * off_rowsum.max()) if k > 1 else float(np.diag(b).min())
+    delta = float(np.diag(b).min() - 2.0 * rho * off_rowsum.max())
     b_min = float(b.sum(axis=1).min())
 
     return BlockSpectrum(
@@ -304,5 +302,5 @@ def concentration_stat(params, seeds):
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    l_blk, _ = expected_laplacian(params)
+    l_blk = expected_laplacian(params)
     return [concentration(laplacian(sample_adjacency(params, seed)), l_blk) for seed in seeds]

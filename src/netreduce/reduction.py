@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraph,
-    EmptyBlock,
-    KTooLarge,
-    RankDeficientWarning,
-    ReductionFailed,
-    SingularS,
-)
+from .errors import DisconnectedGraph, KTooLarge, RankDeficientWarning, ReductionFailed, SingularS
 from .graphs import Partition
 from .spectral import SpectralData, cluster_embedding, wcss_of
 
@@ -74,8 +67,10 @@ def refine_embedding(data, partition):
     Returns
     -------
     RefinementResult
-        With the optimal S, the refined embedding V_hat = P S, and the
-        attained squared-Frobenius objective.
+        With the optimal S, the refined embedding V_hat = P S, the attained
+        squared-Frobenius objective, and ``degenerate``, True (after a
+        RankDeficientWarning) when the optimum is not unique. With k = 1
+        the alignment SVD is of a 0 x 0 matrix, and S = [[1/sqrt(n)]].
     """
     v = np.asarray(data, dtype=float)
     n, k = v.shape
@@ -83,36 +78,30 @@ def refine_embedding(data, partition):
         raise ValueError(f"partition has {partition.k} blocks, embedding has {k} columns")
     if partition.n != n:
         raise ValueError("partition and embedding disagree on n")
-    sizes = partition.sizes.astype(float)
-    if np.any(sizes == 0):
-        raise EmptyBlock("partition has an empty block")
     if np.abs(v[:, 0] - 1.0 / np.sqrt(n)).max() > 1e-6:
         raise DisconnectedGraph(
             "first embedding column is not 1/sqrt(n); the graph is likely disconnected"
         )
 
     p = partition.indicator()
-    root = np.sqrt(sizes)
-    degenerate = False
-    if k == 1:
-        s = np.full((1, 1), 1.0 / np.sqrt(n))
-    else:
-        # orthonormal basis of the complement of u = sqrt(n_i/n): QR of
-        # [u | I] with the first column pinned, keeping columns 2..k
-        basis = np.linalg.qr(np.column_stack([root / np.sqrt(n), np.eye(k)]))[0]
-        q_mat = basis[:, 1:k]
-        p_tilde = p / root[None, :]
-        m = q_mat.T @ p_tilde.T @ v[:, 1:]
-        u_svd, sig, vt_svd = np.linalg.svd(m)
-        if sig.size and sig.min() < 1e-12:
-            degenerate = True
-            warnings.warn(
-                "alignment SVD is rank deficient; the optimum is not unique",
-                RankDeficientWarning,
-                stacklevel=2,
-            )
-        o_star = u_svd @ vt_svd
-        s = np.column_stack([np.full(k, 1.0 / np.sqrt(n)), (q_mat @ o_star) / root[:, None]])
+    root = np.sqrt(partition.sizes)
+    # orthonormal basis of the complement of u = sqrt(n_i/n): QR of
+    # [u | I] with the first column pinned, keeping columns 2..k
+    basis = np.linalg.qr(np.column_stack([root / np.sqrt(n), np.eye(k)]))[0]
+    q_mat = basis[:, 1:k]
+    p_tilde = p / root[None, :]
+    m = q_mat.T @ p_tilde.T @ v[:, 1:]
+    u_svd, sig, vt_svd = np.linalg.svd(m)
+    # a Python bool, which json can write
+    degenerate = bool(sig.size and sig.min() < 1e-12)
+    if degenerate:
+        warnings.warn(
+            "alignment SVD is rank deficient; the optimum is not unique",
+            RankDeficientWarning,
+            stacklevel=2,
+        )
+    o_star = u_svd @ vt_svd
+    s = np.column_stack([np.full(k, 1.0 / np.sqrt(n)), (q_mat @ o_star) / root[:, None]])
     v_hat = p @ s
     objective = float(np.linalg.norm(v - v_hat) ** 2)
     return RefinementResult(s_matrix=s, v_hat=v_hat, objective=objective, degenerate=degenerate)
@@ -276,10 +265,7 @@ def run_algorithm_1(model, k, seed=0, restarts=50):
     spec = SpectralData(lambda_k=lam, v_k=spec.v_k, lambda_next=spec.lambda_next)
 
     try:
-        if k == 1:
-            partition = Partition(np.zeros(n, dtype=np.int64), 1)
-        else:
-            partition = cluster_embedding(spec.v_k, k, restarts=restarts, seed=seed)
+        partition = cluster_embedding(spec.v_k, k, restarts=restarts, seed=seed)
         wcss = wcss_of(spec.v_k, partition)
     except Exception as exc:
         raise ReductionFailed("clustering", str(exc)) from exc

@@ -54,10 +54,7 @@ class StateSpace:
 
     def freq_response(self, s):
         """C (sI - A)^-1 B + D at a complex point."""
-        ns = self.a.shape[0]
-        if ns == 0:
-            return self.d.astype(complex)
-        x = np.linalg.solve(s * np.eye(ns) - self.a, self.b.astype(complex))
+        x = np.linalg.solve(s * np.eye(self.a.shape[0]) - self.a, self.b.astype(complex))
         return self.c @ x + self.d
 
 
@@ -65,7 +62,7 @@ def realize(tf):
     """Controllable canonical realization of a proper rational function.
 
     The strictly proper part lands in (A, B, C); the constant part in D.
-    A constant gain yields an empty state.
+    Every order takes the same path; a constant gain yields an empty state.
     """
     den = np.asarray(tf.den, dtype=float)  # monic by construction
     num = np.zeros_like(den)
@@ -73,14 +70,10 @@ def realize(tf):
     r = len(den) - 1
     d_gain = num[r]
     num_sp = num[:r] - d_gain * den[:r]
-    if r == 0:
-        z = np.zeros((0, 0))
-        return StateSpace(a=z, b=np.zeros((0, 1)), c=np.zeros((1, 0)), d=[[d_gain]])
-    a = np.zeros((r, r))
-    a[:-1, 1:] = np.eye(r - 1)
-    a[-1, :] = -den[:r]
+    a = np.eye(r, k=1)
+    a[-1:, :] = -den[:r]
     b = np.zeros((r, 1))
-    b[-1, 0] = 1.0
+    b[-1:, 0] = 1.0
     c = num_sp.reshape(1, r)
     return StateSpace(a=a, b=b, c=c, d=[[d_gain]])
 
@@ -227,8 +220,8 @@ def _run_length(ns, width):
 
 
 def _inf_norm(m):
-    """Largest absolute row sum, as a Python float."""
-    return float(np.abs(m).sum(axis=1).max())
+    """Largest absolute row sum, as a Python float; 0.0 for a matrix without rows."""
+    return float(np.abs(m).sum(axis=1).max(initial=0.0))
 
 
 def _block_operators(zoh, c_aug, block):
@@ -262,7 +255,7 @@ def _block_operators(zoh, c_aug, block):
             d = d + n + d @ n
         ops[m] = c_aug + c_aug @ d
         grow = max(grow, _inf_norm(d[:ns, :ns] + eye))
-        rest = max(rest, float(np.abs(d[:ns, ns]).max()))
+        rest = max(rest, float(np.abs(d[:ns, ns]).max(initial=0.0)))
     else:
         m = block
     return ops[:m], d, grow, rest
@@ -295,6 +288,9 @@ def step_chunks(sys, input_node, t_end, dt, state_limit=1e12):
     and more than about a thousand outputs, so the outputs do not depend
     on R.
 
+    A loop without states takes the same path: ``_expm`` gives its 1 x 1
+    Z as exactly [[1]], so every sample is d (a -0.0 is +0.0 after t = 0).
+
     Raises Diverged at the first sample where any state is non-finite or
     larger than ``state_limit`` in magnitude. Every state of a block is at
     most max_m ||Phi^m||_inf |s|_inf + max_m |x_m|_inf. A block whose
@@ -310,12 +306,6 @@ def step_chunks(sys, input_node, t_end, dt, state_limit=1e12):
         raise ValueError(f"input_node {input_node} out of range [0, {ni})")
     steps = sample_steps(t_end, dt)
     d_u = sys.d[:, input_node]
-    if ns == 0:
-        rows = max(1, _RUN_CELLS // max(n_out, 1))
-        for r0 in range(0, steps + 1, rows):
-            r1 = min(r0 + rows, steps + 1)
-            yield np.arange(r0, r1) * dt, np.tile(d_u, (r1 - r0, 1))
-        return
     aug = np.zeros((ns + 1, ns + 1))
     aug[:ns, :ns] = sys.a
     aug[:ns, ns] = sys.b[:, input_node]
@@ -340,7 +330,7 @@ def step_chunks(sys, input_node, t_end, dt, state_limit=1e12):
         for j, start in enumerate(chunk):
             start[:] = s
             # a NaN bound fails the comparison too
-            if not grow * float(np.abs(s[:ns]).max()) + rest <= state_limit:
+            if not grow * float(np.abs(s[:ns]).max(initial=0.0)) + rest <= state_limit:
                 x = s[:ns]
                 first = (j0 + j) * block
                 for i in range(first + 1, min(first + block, steps) + 1):

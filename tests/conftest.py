@@ -1,6 +1,9 @@
 # netreduce first: its import sets the one-BLAS-thread default, which only
-# acts while numpy is not yet loaded
-import netreduce  # noqa: F401
+# acts while numpy is not yet loaded. netreduce.cli loads every module of the
+# package before the first draw: hypothesis mixes literals of the loaded
+# local modules into its examples, so a derandomized test then draws the same
+# examples alone and in the full suite (test_repo checks the loaded set)
+import netreduce.cli  # noqa: F401
 
 import numpy as np
 import pytest

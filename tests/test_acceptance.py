@@ -105,7 +105,7 @@ class TestCriterion2:
         for trial in range(20):
             params = random_wsbm(rng, k=int(rng.integers(2, 5)))
             assert block_spectrum_oracle(params).delta > 0
-            l_blk, _ = expected_laplacian(params)
+            l_blk = expected_laplacian(params)
             nodes, _, _ = sample_swing_nodes(params.n, rng)
             model = NetworkModel(nodes=nodes, coupling=COUPLING_INTEGRATOR, laplacian=l_blk)
             reduced = run_algorithm_1(model, params.k, seed=trial)
@@ -194,12 +194,12 @@ class TestCriterion4:
             params = random_wsbm(rng)
             spec = block_spectrum_oracle(params)
             assert spec.delta > 0
-            l_blk, _ = expected_laplacian(params)
+            l_blk = expected_laplacian(params)
             dense = np.linalg.eigvalsh(l_blk)
             worst = max(worst, np.abs(spec.full_spectrum() - dense).max())
             tested += 1
         spec = block_spectrum_oracle(eq15_params)
-        l_blk, _ = expected_laplacian(eq15_params)
+        l_blk = expected_laplacian(eq15_params)
         worst = max(worst, np.abs(spec.full_spectrum() - np.linalg.eigvalsh(l_blk)).max())
         ok = worst <= 1e-8
         assert _report(4, ok, f"worst eigenvalue deviation {worst:.3e} over {tested + 1} sets")
@@ -264,7 +264,7 @@ class TestCriterion7:
         ns = []
         for scale in (1, 2, 4, 8):
             params = eq15_params.scaled(scale)
-            l_blk, _ = expected_laplacian(params)
+            l_blk = expected_laplacian(params)
             stats = []
             for seed in range(40):
                 lap = laplacian(sample_adjacency(params, seed))
@@ -364,7 +364,7 @@ def _pairwise_floor(y):
 
 @pytest.fixture(scope="module")
 def draws(eq15_params):
-    l_blk, _ = expected_laplacian(eq15_params)
+    l_blk = expected_laplacian(eq15_params)
     blk_eigs = np.linalg.eigvalsh(l_blk)
     v_blk = bottom_k_eig(l_blk, 3).v_k
     true_part = eq15_params.true_partition()
@@ -388,7 +388,7 @@ class TestCriterion9:
         # every draw ||V_hat - V||_F = sqrt(2 sum(1 - cos theta_i)) exactly; as
         # 2(1 - cos) >= sin^2 it lies in [||sin Theta||_F, sqrt(2) ||sin Theta||_F + 1e-7]
         p = eq15_params.true_partition().indicator()
-        v_blk = bottom_k_eig(expected_laplacian(eq15_params)[0], 3).v_k
+        v_blk = bottom_k_eig(expected_laplacian(eq15_params), 3).v_k
         span_res = float(np.linalg.norm(v_blk - p @ np.linalg.lstsq(p, v_blk, rcond=None)[0]))
         worst_identity = 0.0
         worst_excess = -np.inf

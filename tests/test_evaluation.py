@@ -175,7 +175,7 @@ class TestEvalTHatK:
         assert total == pytest.approx(model.n**2 * ghat, rel=1e-9)
 
     def test_matches_eigenform_on_ideal(self, eq15_params):
-        l_blk, _ = expected_laplacian(eq15_params)
+        l_blk = expected_laplacian(eq15_params)
         rng = np.random.default_rng(7)
         from netreduce.transfer import sample_swing_nodes
 
@@ -215,7 +215,7 @@ class TestBandError:
         from netreduce import WsbmParams
 
         params = WsbmParams((3, 3), np.ones((2, 2)), [[2.0, 0.4], [0.4, 2.0]])
-        l_blk, _ = expected_laplacian(params)
+        l_blk = expected_laplacian(params)
         n = params.n
         rng = np.random.default_rng(0)
         from netreduce.transfer import sample_swing_nodes

@@ -162,15 +162,15 @@ class TestExpectedLaplacian:
         w = 2.5
         n = 6
         params = WsbmParams((n,), [[1.0]], [[w]])
-        l_blk, b = expected_laplacian(params)
-        np.testing.assert_allclose(b, [[w]])
+        l_blk = expected_laplacian(params)
+        np.testing.assert_allclose(params.b, [[w]])
         np.testing.assert_allclose(l_blk, w * n * np.eye(n) - w * np.ones((n, n)))
 
     def test_two_block_explicit(self):
         # B = [[3,1],[1,3]] with sizes (2,2): diagonal blocks all 3,
         # off-diagonal blocks all 1, self-weight cancels on the diagonal
         params = WsbmParams((2, 2), np.ones((2, 2)), [[3.0, 1.0], [1.0, 3.0]])
-        l_blk, b = expected_laplacian(params)
+        l_blk = expected_laplacian(params)
         expected = np.array(
             [
                 [5.0, -3.0, -1.0, -1.0],
@@ -183,8 +183,7 @@ class TestExpectedLaplacian:
         assert np.abs(l_blk.sum(axis=1)).max() < 1e-12
 
     def test_eq15_block_matrix_entry(self, eq15_params):
-        _, b = expected_laplacian(eq15_params)
-        assert b[0, 0] == pytest.approx(0.8 * 20.0)
+        assert eq15_params.b[0, 0] == pytest.approx(0.8 * 20.0)
 
 
 class TestBlockSpectrumOracle:
@@ -196,7 +195,7 @@ class TestBlockSpectrumOracle:
         assert spec.lambda_k1_lower == pytest.approx(8.0)
         assert spec.delta * min(params.sizes) == pytest.approx(2.0)
         # oracle must agree with a dense eigendecomposition of the 4x4 L_blk
-        l_blk, _ = expected_laplacian(params)
+        l_blk = expected_laplacian(params)
         np.testing.assert_allclose(
             spec.full_spectrum(), np.linalg.eigvalsh(l_blk), atol=1e-9
         )
@@ -213,7 +212,7 @@ class TestBlockSpectrumOracle:
 
     def test_eq15_matches_dense_eigendecomposition(self, eq15_params):
         spec = block_spectrum_oracle(eq15_params)
-        l_blk, _ = expected_laplacian(eq15_params)
+        l_blk = expected_laplacian(eq15_params)
         dense = np.linalg.eigvalsh(l_blk)
         np.testing.assert_allclose(spec.full_spectrum(), dense, atol=1e-8)
         assert spec.delta > 0
@@ -225,7 +224,7 @@ class TestBlockSpectrumOracle:
         params = random_wsbm(rng)
         spec = block_spectrum_oracle(params)
         assert spec.delta > 0
-        l_blk, _ = expected_laplacian(params)
+        l_blk = expected_laplacian(params)
         np.testing.assert_allclose(
             spec.full_spectrum(), np.linalg.eigvalsh(l_blk), atol=1e-8
         )

@@ -7,6 +7,7 @@ from netreduce import (
     NetworkModel,
     NotOrthonormal,
     Partition,
+    RankDeficientWarning,
     RationalTF,
     ReducedModel,
     ReductionFailed,
@@ -57,7 +58,7 @@ def _feasible_s_k2(partition, sign):
 
 class TestRefineEmbedding:
     def test_ideal_embedding_attains_zero(self, eq15_params):
-        l_blk, _ = expected_laplacian(eq15_params)
+        l_blk = expected_laplacian(eq15_params)
         data = bottom_k_eig(l_blk, 3)
         res = refine_embedding(data.v_k, eq15_params.true_partition())
         assert res.objective <= 1e-18
@@ -144,6 +145,18 @@ class TestRefineEmbedding:
         res = refine_embedding(v, Partition(np.zeros(n, dtype=int), 1))
         assert res.objective <= 1e-18
         np.testing.assert_allclose(res.s_matrix, [[1 / np.sqrt(n)]])
+        assert res.degenerate is False
+
+    def test_rank_deficient_alignment_warns(self):
+        # the second column sums to zero over each group, so the alignment
+        # matrix is zero and every feasible S attains the optimum
+        v = np.column_stack([np.full(4, 0.5), [0.5, -0.5, 0.5, -0.5]])
+        part = Partition([0, 0, 1, 1], 2)
+        with pytest.warns(RankDeficientWarning):
+            res = refine_embedding(v, part)
+        assert res.degenerate is True
+        gram = res.s_matrix.T @ np.diag(part.sizes.astype(float)) @ res.s_matrix
+        np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
 
     def test_rejects_missing_kernel_column(self):
         v = np.linalg.qr(np.random.default_rng(1).standard_normal((8, 2)))[0]
@@ -153,7 +166,7 @@ class TestRefineEmbedding:
 
 class TestBlockIdealCheck:
     def test_expected_laplacian_is_ideal(self, eq15_params):
-        l_blk, _ = expected_laplacian(eq15_params)
+        l_blk = expected_laplacian(eq15_params)
         assert block_spectrum_oracle(eq15_params).delta > 0
         data = bottom_k_eig(l_blk, 3)
         is_ideal, residual = block_ideal_check(data.v_k, eq15_params.true_partition())
@@ -165,7 +178,7 @@ class TestBlockIdealCheck:
         rng = np.random.default_rng(900 + seed)
         params = random_wsbm(rng)
         assert block_spectrum_oracle(params).delta > 0
-        l_blk, _ = expected_laplacian(params)
+        l_blk = expected_laplacian(params)
         data = bottom_k_eig(l_blk, params.k)
         is_ideal, residual = block_ideal_check(data.v_k, params.true_partition())
         assert is_ideal, f"residual {residual}"
@@ -205,7 +218,7 @@ class TestReducedLaplacian:
         from netreduce import WsbmParams
 
         params = WsbmParams((m, m), np.ones((2, 2)), params_b)
-        l_blk, _ = expected_laplacian(params)
+        l_blk = expected_laplacian(params)
         data = bottom_k_eig(l_blk, 2)
         res = refine_embedding(data.v_k, params.true_partition())
         l_k = reduced_laplacian(res.s_matrix, data.lambda_k)
@@ -326,7 +339,7 @@ class TestTheorem2Equivalence:
     def test_eigenform_equals_network_form_on_ideal(self, seed):
         rng = np.random.default_rng(500 + seed)
         params = random_wsbm(rng, k=int(rng.integers(2, 4)))
-        l_blk, _ = expected_laplacian(params)
+        l_blk = expected_laplacian(params)
         nodes, _, _ = __import__("netreduce").transfer.sample_swing_nodes(params.n, rng)
         model = NetworkModel(nodes=nodes, coupling=COUPLING_INTEGRATOR, laplacian=l_blk)
         reduced = run_algorithm_1(model, params.k, seed=seed)

@@ -55,7 +55,7 @@ class TestBottomKEig:
         assert data.v_k[lead, 0] > 0
 
     def test_block_laplacian_matches_oracle(self, eq15_params):
-        l_blk, _ = expected_laplacian(eq15_params)
+        l_blk = expected_laplacian(eq15_params)
         data = bottom_k_eig(l_blk, 3)
         oracle = block_spectrum_oracle(eq15_params)
         np.testing.assert_allclose(data.lambda_k, oracle.eigenvalues_clustered, atol=1e-8)
@@ -539,7 +539,7 @@ class TestSinTheta:
 
     def test_shared_kernel_column_gives_zero_first_angle(self, eq15_params):
         lap = laplacian(sample_adjacency(eq15_params, 2))
-        l_blk, _ = expected_laplacian(eq15_params)
+        l_blk = expected_laplacian(eq15_params)
         v = bottom_k_eig(lap, 3).v_k
         v_blk = bottom_k_eig(l_blk, 3).v_k
         rep = sin_theta(v, v_blk)
@@ -550,7 +550,7 @@ class TestSinTheta:
 class TestPerturbationChecks:
     @pytest.mark.parametrize("seed", range(3))
     def test_davis_kahan_and_weyl_on_draws(self, seed, eq15_params):
-        l_blk, _ = expected_laplacian(eq15_params)
+        l_blk = expected_laplacian(eq15_params)
         dense_blk = np.linalg.eigvalsh(l_blk)
         k = 3
         gap = dense_blk[k] - dense_blk[k - 1]
@@ -569,7 +569,7 @@ class TestPerturbationChecks:
         rng = np.random.default_rng(300 + seed)
         params = random_wsbm(rng)
         k = params.k
-        l_blk, _ = expected_laplacian(params)
+        l_blk = expected_laplacian(params)
         dense_blk = np.linalg.eigvalsh(l_blk)
         gap = dense_blk[k] - dense_blk[k - 1]
         lap = laplacian(sample_adjacency(params, seed))

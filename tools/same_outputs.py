@@ -36,6 +36,12 @@ and compares the two output trees file by file:
 - ``evaluate`` on that grid with (s^2 + w^2)/(s + 1)^2 at nodes 0, 1 and
   2 for w = 0.1, 1 and 10, so that every grid frequency is a gap and the
   command exits with ``NoFrequencyEvaluated`` naming omega = 0.1;
+- ``reduce``, ``evaluate``, ``simulate`` and ``experiment`` on that config
+  with k = 1, and on that config with static nodes (gains 1, 2 and 1/2 in
+  turn) and the static coupling 1/2, a loop without states; ``simulate``
+  on the static config with k = 1;
+- ``simulate`` on that config with the static gain 2 and the node
+  1/(1 + s) in turn, and ``experiment`` on that config with scales [1, 2];
 - ``reduce``, ``evaluate``, ``simulate`` and ``experiment --jobs 2`` on
   the configs of the ``reduce-large``, ``evaluate-band``, ``simulate-step``
   and ``experiment-pool`` workloads of ``perfbench/workloads.py`` at
@@ -70,12 +76,13 @@ def runs():
     base.update(seeds=[0, 1], scales=[1], grid_size=20)
     base["sim"] = dict(base["sim"], t_end=2.0)
     commands = ("generate", "reduce", "evaluate", "simulate", "experiment")
+    n = sum(base["wsbm"]["sizes"])
     out = [(f"three_group-{cmd}", base, cmd, 1) for cmd in commands]
     out.append(("three_group-k200-experiment", dict(base, k=200), "experiment", 1))
     sizes = [4 * size for size in base["wsbm"]["sizes"]]
     scaled = dict(base, seeds=[0], wsbm=dict(base["wsbm"], sizes=sizes), sim=dict(base["sim"], t_end=4.0))
     out.append(("three_group-n320-simulate", scaled, "simulate", 1))
-    tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * sum(base["wsbm"]["sizes"])
+    tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * n
     tfs[1] = {"num": [1.0], "den": [1.0, -1.0]}
     tfs[41] = {"num": [1.0], "den": [1.0, 0.0, -1.0]}
     unstable = dict(base, nodes={"preset": "explicit", "tfs": tfs})
@@ -83,7 +90,7 @@ def runs():
     biproper = [{"num": [1.0, 0.5], "den": [1.0, 1.0]}, {"num": [2.0, 1.0], "den": [1.0, 2.0]}]
     feedthrough = dict(
         base,
-        nodes={"preset": "explicit", "tfs": [biproper[i % 2] for i in range(sum(base["wsbm"]["sizes"]))]},
+        nodes={"preset": "explicit", "tfs": [biproper[i % 2] for i in range(n)]},
         coupling={"num": [1.0, 0.5], "den": [0.5, 1.0]},
     )
     out.append(("three_group-biproper-simulate", feedthrough, "simulate", 1))
@@ -92,11 +99,27 @@ def runs():
     two_blocks = {"sizes": [30, 50], "q": [[0.8, 0.1], [0.1, 0.8]], "w": [[20.0, 0.5], [0.5, 20.0]]}
     out.append(("two_group-simulate", dict(base, k=2, wsbm=two_blocks), "simulate", 1))
     for name, notches in (("one-gap", [1.0]), ("all-gap", [0.1, 1.0, 10.0])):
-        tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * sum(base["wsbm"]["sizes"])
+        tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * n
         for i, w in enumerate(notches):
             tfs[i] = {"num": [w * w, 0.0, 1.0], "den": [1.0, 2.0, 1.0]}
         gaps = dict(base, seeds=[0], omega_min=0.1, eta=10.0, grid_size=3, nodes={"preset": "explicit", "tfs": tfs})
         out.append((f"three_group-{name}-evaluate", gaps, "evaluate", 1))
+    # paths that no benchmark workload takes: one group, loops without
+    # states, static nodes beside dynamic ones, and more than one scale
+    gains = [{"num": [g], "den": [1.0]} for g in (1.0, 2.0, 0.5)]
+    static = dict(
+        base,
+        nodes={"preset": "explicit", "tfs": [gains[i % 3] for i in range(n)]},
+        coupling={"num": [0.5], "den": [1.0]},
+    )
+    for cmd in commands[1:]:
+        out.append((f"three_group-k1-{cmd}", dict(base, k=1), cmd, 1))
+        out.append((f"three_group-static-{cmd}", static, cmd, 1))
+    out.append(("three_group-static-k1-simulate", dict(static, k=1), "simulate", 1))
+    pair = [gains[1], {"num": [1.0], "den": [1.0, 1.0]}]
+    mixed = dict(base, nodes={"preset": "explicit", "tfs": [pair[i % 2] for i in range(n)]})
+    out.append(("three_group-mixed-simulate", mixed, "simulate", 1))
+    out.append(("three_group-scales12-experiment", dict(base, scales=[1, 2]), "experiment", 1))
     for name in ("reduce-large", "evaluate-band", "simulate-step", "experiment-pool"):
         w = WORKLOADS[name]
         out.append((name, w.make_config(BENCH_SEED), w.command, w.jobs))
