@@ -2,8 +2,11 @@
 # acts while numpy is not yet loaded. netreduce.cli loads every module of the
 # package before the first draw: hypothesis mixes literals of the loaded
 # local modules into its examples, so a derandomized test then draws the same
-# examples alone and in the full suite (test_repo checks the loaded set)
-import netreduce.cli  # noqa: F401
+# examples alone and in the full suite (checked below, at the end of the session)
+import netreduce.cli
+
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,29 @@ EQ15_Q = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
 EQ15_W = [[20.0, 0.4, 0.8], [0.4, 20.0, 0.7], [0.8, 0.7, 20.0]]
 
 COUPLING_INTEGRATOR = RationalTF((1.0,), (0.0, 1.0))  # f(s) = 1/s
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE_DIR = pathlib.Path(netreduce.cli.__file__).resolve().parent
+
+
+def loaded_local_modules():
+    """Files of the loaded modules under the repository root, outside ``tests/``,
+    and of the loaded ``netreduce`` modules wherever it is installed: the
+    modules whose literals hypothesis mixes into its draws."""
+    files = {pathlib.Path(m.__file__).resolve() for m in list(sys.modules.values()) if getattr(m, "__file__", None)}
+    return {
+        p
+        for p in files
+        if p.is_relative_to(PACKAGE_DIR) or (p.is_relative_to(ROOT) and not p.is_relative_to(ROOT / "tests"))
+    }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def local_modules_stay_the_package():
+    # a test that loads a module of tools/ or perfbench/ in this process
+    # changes the draws of every derandomized test after it
+    yield
+    assert loaded_local_modules() == set(PACKAGE_DIR.glob("*.py"))
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,12 @@
 import ast
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
 import netreduce
+from conftest import PACKAGE_DIR, ROOT, loaded_local_modules
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = os.path.dirname(os.path.dirname(netreduce.__file__))
 
 
@@ -51,35 +50,29 @@ def test_no_unused_imports():
 def test_loaded_local_modules_are_the_package():
     # hypothesis mixes the literals of every loaded module outside the tests,
     # the standard library and site-packages into its draws, so that set must
-    # not depend on which tests ran before (see conftest.py): the whole
-    # package, and nothing from tools/ or perfbench/
-    pkg = pathlib.Path(netreduce.__file__).resolve().parent
-    files = {
-        pathlib.Path(m.__file__).resolve()
-        for m in list(sys.modules.values())
-        if getattr(m, "__file__", None)
-    }
-    local = {
-        p for p in files if p.is_relative_to(pkg) or (p.is_relative_to(ROOT) and not p.is_relative_to(ROOT / "tests"))
-    }
-    assert local == set(pkg.glob("*.py"))
+    # not depend on which tests ran before (see conftest.py, which checks it
+    # again at the end of the session): the whole package, and nothing from
+    # tools/ or perfbench/
+    assert loaded_local_modules() == set(PACKAGE_DIR.glob("*.py"))
 
 
 def test_bench_harness_smoke():
-    # bench, and perfbench/workloads.py that it loads, are imported in the
-    # child only, so that the test above holds in this process
+    # bench, and perfbench/workloads.py that it loads, are imported in a child
+    # only, so that the set of loaded local modules stays the package in this
+    # process (see conftest.py). The child starts `tools/bench.py --child
+    # loops=80` through bench._child, under bench.child_env, as compare does
     child = (
-        "import json, bench\n"
+        "import json, sys, bench\n"
         "from netreduce.config import config_from_dict\n"
         "for _, doc, _, _ in bench.end_to_end_runs():\n"
         "    config_from_dict(doc)\n"
-        "res = bench.measure('loops=80')\n"
+        "res = bench._child(sys.argv[1], 'loops=80')\n"
         "assert set(res['thread_env']) == set(bench.THREAD_VARS)\n"
         "print(json.dumps(res))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(ROOT / "tools")]))
     out = subprocess.run(
-        [sys.executable, "-c", child], env=env, cwd=ROOT, capture_output=True, text=True, check=True
+        [sys.executable, "-c", child, SRC], env=env, cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout
     res = json.loads(out.splitlines()[-1])
     assert {"close_loop/n=80", "realize_reduced/n=80"} <= set(res["times"])

@@ -305,7 +305,17 @@ class TestStepResponse:
     def test_static_gain_constant_output(self):
         ss = realize(RationalTF((2.0,), (1.0,)))
         _, y = step_outputs(ss, 0, t_end=1.0, dt=0.01)
-        np.testing.assert_allclose(y, 2.0)
+        # the 1 x 1 Van Loan exponential of a loop without states is exactly
+        # [[1]], so each sample is 1.0 * 2.0 or 2.0 + 2.0 * 0.0: exact
+        np.testing.assert_array_equal(y, 2.0)
+
+    def test_static_negative_zero_gain(self):
+        # the sample at t = 0 is D u; the later ones come out of the block
+        # products, whose sums turn D = -0.0 into +0.0, as for a system with
+        # states (see step_chunks)
+        ss = StateSpace(a=np.zeros((0, 0)), b=np.zeros((0, 1)), c=np.zeros((1, 0)), d=[[-0.0]])
+        _, y = step_outputs(ss, 0, t_end=0.05, dt=0.01)
+        np.testing.assert_array_equal(np.signbit(y[:, 0]), [True] + [False] * 5)
 
     def test_divergence_detected(self):
         ss = StateSpace(a=[[1.0]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
