@@ -351,7 +351,9 @@ def build_parser():
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", required=True, help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, help="override config seeds with one seed")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes (experiment only)")
+    # p is the experiment parser, the one command that computes in workers
+    p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    parser.set_defaults(jobs=None)
     return parser
 
 

@@ -154,8 +154,6 @@ def config_from_dict(doc):
     coupling_doc = _require(doc, "coupling", "")
     try:
         coupling = RationalTF(coupling_doc["num"], coupling_doc["den"])
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(f"config field 'coupling': {exc}") from exc
 

@@ -413,13 +413,6 @@ class SinThetaReport:
     angles: np.ndarray
     frobenius: float
 
-    def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float)
-        if np.any(np.diff(a) < 0):
-            raise ValueError("angles must be sorted ascending")
-        if abs(self.frobenius**2 - float(np.sum(np.sin(a) ** 2))) > 1e-9:
-            raise ValueError("frobenius value inconsistent with angles")
-
 
 def sin_theta(v_a, v_b):
     """Principal angles between the column spans of two orthonormal matrices.

@@ -459,7 +459,9 @@ class TestCriterion10:
         for command in ("generate", "reduce", "evaluate", "simulate", "experiment"):
             out1 = tmp_path / f"{command}_a"
             out2 = tmp_path / f"{command}_b"
-            args = ["--config", str(cfg), "--jobs", "1"]
+            args = ["--config", str(cfg)]
+            if command == "experiment":
+                args += ["--jobs", "1"]
             assert main([command, *args, "--out", str(out1)]) == 0
             assert main([command, *args, "--out", str(out2)]) == 0
             if tree(out1) != tree(out2):

@@ -184,6 +184,16 @@ class TestConfig:
         assert "'--jobs'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "reduce", "evaluate", "simulate"])
+    def test_jobs_is_an_experiment_option(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        args = [command, "--config", write_config(tmp_path, base_config()), "--jobs", "2"]
+        with pytest.raises(SystemExit) as info:
+            main([*args, "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_that_cannot_be_a_directory_exit_code(self, tmp_path, capsys, monkeypatch):
         # an existing file, and a path below one; reported before any work
         monkeypatch.setattr("netreduce.cli.sample_adjacency", None)
@@ -194,6 +204,34 @@ class TestConfig:
             assert main(["generate", "--config", cfg, "--out", str(out)]) == 1
             assert capsys.readouterr().err == f"error: option '--out': {reason}\n"
         assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "case, named",
+        [
+            ("missing-field", "config field 'k': missing"),
+            ("below-minimum", "config field 'grid_size': must be >= 2"),
+            ("omega_min-not-below-eta", "config field 'omega_min': must be below 'eta'"),
+            ("root-not-object", "config root: expected an object"),
+            ("not-json", "config file is not valid JSON"),
+        ],
+    )
+    def test_invalid_document_exit_code(self, tmp_path, capsys, case, named):
+        no_k = base_config()
+        del no_k["k"]
+        text = {
+            "missing-field": json.dumps(no_k),
+            "below-minimum": json.dumps(base_config(grid_size=1)),
+            "omega_min-not-below-eta": json.dumps(base_config(omega_min=10.0)),
+            "root-not-object": json.dumps([base_config()]),
+            "not-json": json.dumps(base_config())[:-1],
+        }[case]
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value).startswith(named)
+        assert main(["reduce", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}")
 
     def test_input_node_outside_network(self, tmp_path):
         doc = base_config(sim={"dt": 1e-3, "t_end": 3.0, "input_node": 80})
@@ -558,6 +596,32 @@ class TestExperiment:
             }
         ]
 
+    @pytest.mark.parametrize(
+        "stage, callee",
+        [
+            ("eigendecomposition", "bottom_k_eig"),
+            ("clustering", "cluster_embedding"),
+            ("refinement", "refine_embedding"),
+            ("reduced-laplacian", "reduced_laplacian"),
+        ],
+    )
+    def test_each_stage_failure_names_its_stage(self, monkeypatch, stage, callee):
+        injected = RuntimeError("injected")
+
+        def fail(*args, **kwargs):
+            raise injected
+
+        monkeypatch.setattr(netreduce.reduction, callee, fail)
+        config = config_from_dict(base_config(grid_size=10))
+        model, _, _ = build_model(config, 0)
+        with pytest.raises(ReductionFailed) as info:
+            run_algorithm_1(model, config.k, seed=0)
+        assert info.value.stage == stage
+        assert str(info.value) == f"stage '{stage}': injected"
+        assert info.value.__cause__ is injected
+        row = cli._experiment_cell((config, 1, 0))
+        assert (row["status"], row["error_type"], row["stage"]) == ("failed", "ReductionFailed", stage)
+
     def test_band_without_an_evaluated_frequency_is_a_failed_cell(self, tmp_path):
         out = tmp_path / "run"
         cfg = all_gap_config(tmp_path)
@@ -766,7 +830,8 @@ def small_run_config(tmp_path):
 @pytest.mark.parametrize("command", ["generate", "reduce", "evaluate", "simulate", "experiment"])
 def test_manifest_lists_the_files_written(tmp_path, command):
     cfg, out = small_run_config(tmp_path), tmp_path / "run"
-    assert main([command, "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+    jobs = ["--jobs", "1"] if command == "experiment" else []
+    assert main([command, "--config", cfg, "--out", str(out), *jobs]) == 0
     files = json.loads((out / "manifest.json").read_text())["files"]
     assert len(set(files)) == len(files)
     assert sorted(files) == sorted(set(os.listdir(out)) - {"manifest.json"})
@@ -787,7 +852,8 @@ def test_only_reduce_builds_the_reduced_model_document(tmp_path, monkeypatch):
     cfg = small_run_config(tmp_path)
     for command in ("evaluate", "simulate", "experiment", "reduce"):
         out = str(tmp_path / command)
-        assert main([command, "--config", cfg, "--out", out, "--jobs", "1"]) == 0
+        jobs = ["--jobs", "1"] if command == "experiment" else []
+        assert main([command, "--config", cfg, "--out", out, *jobs]) == 0
     assert calls == [3, 3]  # the two seeds of reduce
 
 

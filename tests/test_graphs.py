@@ -229,6 +229,28 @@ class TestBlockSpectrumOracle:
             spec.full_spectrum(), np.linalg.eigvalsh(l_blk), atol=1e-8
         )
 
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6, 1e12])
+    def test_eq15_at_any_weight_scale(self, eq15_params, c):
+        # the kernel eigenvalue is zero by structure, not within an absolute tolerance
+        params = WsbmParams(eq15_params.sizes, eq15_params.q, eq15_params.w * c)
+        spec = block_spectrum_oracle(params)
+        assert spec.eigenvalues_clustered[0] == 0.0
+        dense = np.linalg.eigvalsh(expected_laplacian(params))
+        np.testing.assert_allclose(spec.full_spectrum(), dense, rtol=0, atol=1e-12 * dense.max())
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e12])
+    def test_bulk_clears_the_clustered_eigenvalues_by_the_margin(self, c):
+        # the spectral-gap theorem: with delta > 0 every bulk eigenvalue is
+        # at least the largest clustered one plus delta * n_min
+        rng = np.random.default_rng(2000)
+        for _ in range(20):
+            base = random_wsbm(rng)
+            params = WsbmParams(base.sizes, base.q, base.w * c)
+            spec = block_spectrum_oracle(params)
+            assert spec.delta > 0
+            bound = spec.eigenvalues_clustered.max() + spec.delta * min(params.sizes)
+            assert spec.eigenvalue_bulk.min() >= bound * (1.0 - 1e-12)
+
 
 class TestConcentration:
     def test_deterministic_graph_matches_expectation(self):

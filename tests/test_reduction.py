@@ -12,6 +12,7 @@ from netreduce import (
     ReducedModel,
     ReductionFailed,
     SingularS,
+    WsbmParams,
     block_ideal_check,
     block_spectrum_oracle,
     bottom_k_eig,
@@ -293,6 +294,28 @@ class TestRunAlgorithm1:
             nodes=[first_order_swing(1, 1)] * 4,
             coupling=COUPLING_INTEGRATOR,
             laplacian=lap,
+        )
+        with pytest.raises(DisconnectedGraph):
+            run_algorithm_1(model, 2, seed=0)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-6, 1.0, 1e6, 1e9])
+    def test_any_weight_scale(self, eq15_params, c):
+        # scaling every weight by c scales l_k by c and keeps the partition;
+        # the connectivity test reads lambda_2 relative to the degrees
+        ref = run_algorithm_1(make_swing_model(eq15_params, seed=0)[0], 3, seed=0)
+        params = WsbmParams(eq15_params.sizes, eq15_params.q, eq15_params.w * c)
+        reduced = run_algorithm_1(make_swing_model(params, seed=0)[0], 3, seed=0)
+        assert reduced.partition.same_blocks(ref.partition)
+        np.testing.assert_allclose(reduced.l_k / c, ref.l_k, rtol=0, atol=1e-12 * np.abs(ref.l_k).max())
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-6, 1.0, 1e6, 1e9])
+    def test_disjoint_pair_rejected_at_any_weight_scale(self, eq15_params, c):
+        params = WsbmParams(eq15_params.sizes, eq15_params.q, eq15_params.w * c)
+        a = np.kron(np.eye(2), sample_adjacency(params, 0))
+        model = NetworkModel(
+            nodes=[first_order_swing(1, 1)] * a.shape[0],
+            coupling=COUPLING_INTEGRATOR,
+            laplacian=laplacian(a),
         )
         with pytest.raises(DisconnectedGraph):
             run_algorithm_1(model, 2, seed=0)

@@ -42,6 +42,11 @@ and compares the two output trees file by file:
   on the static config with k = 1;
 - ``simulate`` on that config with the static gain 2 and the node
   1/(1 + s) in turn, and ``experiment`` on that config with scales [1, 2];
+- ``reduce`` and ``evaluate`` on that config with every weight scaled by
+  1e-10, and ``evaluate`` with every weight scaled by 1e6; a tree whose
+  connectivity test compares lambda_2 with an absolute 1e-9 exits 2 with
+  ``DisconnectedGraph`` on the two 1e-10 runs, the one difference expected
+  against such a tree;
 - ``reduce``, ``evaluate``, ``simulate`` and ``experiment --jobs 2`` on
   the configs of the ``reduce-large``, ``evaluate-band``, ``simulate-step``
   and ``experiment-pool`` workloads of ``perfbench/workloads.py`` at
@@ -51,9 +56,11 @@ and compares the two output trees file by file:
   (workers of 3, 3 and 2 of its 8 cells) and ``--jobs 20`` (more workers
   asked for than there are cells).
 
-Every file that differs or exists on one side only is listed, and so is a
-command whose exit code or standard error differs; the exit status is 1 if
-there is any. The temporary directories are deleted.
+An ``experiment`` run takes ``--jobs 1`` where no other count is named;
+the other commands have no ``--jobs``. Every file that differs or exists
+on one side only is listed, and so is a command whose exit code or
+standard error differs; the exit status is 1 if there is any. The
+temporary directories are deleted.
 """
 
 from __future__ import annotations
@@ -69,41 +76,46 @@ import tempfile
 from bench import BENCH_SEED, ROOT, WORKLOADS, child_env
 
 
+def _argv(command, jobs=1):
+    # the command and its options; --jobs belongs to experiment alone
+    return [command, "--jobs", str(jobs)] if command == "experiment" else [command]
+
+
 def runs():
-    """(name, config document, command, jobs) of every run."""
+    """(name, config document, command line before --config) of every run."""
     with open(os.path.join(ROOT, "configs", "three_group.json")) as fh:
         base = json.load(fh)
     base.update(seeds=[0, 1], scales=[1], grid_size=20)
     base["sim"] = dict(base["sim"], t_end=2.0)
     commands = ("generate", "reduce", "evaluate", "simulate", "experiment")
     n = sum(base["wsbm"]["sizes"])
-    out = [(f"three_group-{cmd}", base, cmd, 1) for cmd in commands]
-    out.append(("three_group-k200-experiment", dict(base, k=200), "experiment", 1))
+    out = [(f"three_group-{cmd}", base, _argv(cmd)) for cmd in commands]
+    out.append(("three_group-k200-experiment", dict(base, k=200), _argv("experiment")))
     sizes = [4 * size for size in base["wsbm"]["sizes"]]
     scaled = dict(base, seeds=[0], wsbm=dict(base["wsbm"], sizes=sizes), sim=dict(base["sim"], t_end=4.0))
-    out.append(("three_group-n320-simulate", scaled, "simulate", 1))
+    out.append(("three_group-n320-simulate", scaled, _argv("simulate")))
     tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * n
     tfs[1] = {"num": [1.0], "den": [1.0, -1.0]}
     tfs[41] = {"num": [1.0], "den": [1.0, 0.0, -1.0]}
     unstable = dict(base, nodes={"preset": "explicit", "tfs": tfs})
-    out.append(("three_group-diverging-simulate", unstable, "simulate", 1))
+    out.append(("three_group-diverging-simulate", unstable, _argv("simulate")))
     biproper = [{"num": [1.0, 0.5], "den": [1.0, 1.0]}, {"num": [2.0, 1.0], "den": [1.0, 2.0]}]
     feedthrough = dict(
         base,
         nodes={"preset": "explicit", "tfs": [biproper[i % 2] for i in range(n)]},
         coupling={"num": [1.0, 0.5], "den": [0.5, 1.0]},
     )
-    out.append(("three_group-biproper-simulate", feedthrough, "simulate", 1))
+    out.append(("three_group-biproper-simulate", feedthrough, _argv("simulate")))
     long = dict(base, seeds=[0], sim=dict(base["sim"], t_end=30.0))
-    out.append(("three_group-t30-simulate", long, "simulate", 1))
+    out.append(("three_group-t30-simulate", long, _argv("simulate")))
     two_blocks = {"sizes": [30, 50], "q": [[0.8, 0.1], [0.1, 0.8]], "w": [[20.0, 0.5], [0.5, 20.0]]}
-    out.append(("two_group-simulate", dict(base, k=2, wsbm=two_blocks), "simulate", 1))
+    out.append(("two_group-simulate", dict(base, k=2, wsbm=two_blocks), _argv("simulate")))
     for name, notches in (("one-gap", [1.0]), ("all-gap", [0.1, 1.0, 10.0])):
         tfs = [{"num": [1.0], "den": [1.0, 1.0]}] * n
         for i, w in enumerate(notches):
             tfs[i] = {"num": [w * w, 0.0, 1.0], "den": [1.0, 2.0, 1.0]}
         gaps = dict(base, seeds=[0], omega_min=0.1, eta=10.0, grid_size=3, nodes={"preset": "explicit", "tfs": tfs})
-        out.append((f"three_group-{name}-evaluate", gaps, "evaluate", 1))
+        out.append((f"three_group-{name}-evaluate", gaps, _argv("evaluate")))
     # paths that no benchmark workload takes: one group, loops without
     # states, static nodes beside dynamic ones, and more than one scale
     gains = [{"num": [g], "den": [1.0]} for g in (1.0, 2.0, 0.5)]
@@ -113,29 +125,33 @@ def runs():
         coupling={"num": [0.5], "den": [1.0]},
     )
     for cmd in commands[1:]:
-        out.append((f"three_group-k1-{cmd}", dict(base, k=1), cmd, 1))
-        out.append((f"three_group-static-{cmd}", static, cmd, 1))
-    out.append(("three_group-static-k1-simulate", dict(static, k=1), "simulate", 1))
+        out.append((f"three_group-k1-{cmd}", dict(base, k=1), _argv(cmd)))
+        out.append((f"three_group-static-{cmd}", static, _argv(cmd)))
+    out.append(("three_group-static-k1-simulate", dict(static, k=1), _argv("simulate")))
     pair = [gains[1], {"num": [1.0], "den": [1.0, 1.0]}]
     mixed = dict(base, nodes={"preset": "explicit", "tfs": [pair[i % 2] for i in range(n)]})
-    out.append(("three_group-mixed-simulate", mixed, "simulate", 1))
-    out.append(("three_group-scales12-experiment", dict(base, scales=[1, 2]), "experiment", 1))
+    out.append(("three_group-mixed-simulate", mixed, _argv("simulate")))
+    out.append(("three_group-scales12-experiment", dict(base, scales=[1, 2]), _argv("experiment")))
+    # every weight scaled: the reduction's connectivity test must read the same
+    for factor, scaled_commands in ((1e-10, ("reduce", "evaluate")), (1e6, ("evaluate",))):
+        w = [[factor * x for x in row] for row in base["wsbm"]["w"]]
+        weighted = dict(base, wsbm=dict(base["wsbm"], w=w))
+        for cmd in scaled_commands:
+            out.append((f"three_group-w{factor:g}-{cmd}", weighted, _argv(cmd)))
     for name in ("reduce-large", "evaluate-band", "simulate-step", "experiment-pool"):
         w = WORKLOADS[name]
-        out.append((name, w.make_config(BENCH_SEED), w.command, w.jobs))
+        out.append((name, w.make_config(BENCH_SEED), _argv(w.command, w.jobs)))
     pool = WORKLOADS["experiment-pool"]
     for jobs in (3, 20):
-        out.append((f"experiment-pool-jobs{jobs}", pool.make_config(BENCH_SEED), pool.command, jobs))
+        out.append((f"experiment-pool-jobs{jobs}", pool.make_config(BENCH_SEED), _argv(pool.command, jobs)))
     return out
 
 
 def run_all(src, work, plan):
     """Run every command of ``plan`` against ``src``; returns {run name: (exit code, stderr)}."""
     codes = {}
-    for name, config_path, command, jobs in plan:
-        args = [command, "--config", config_path, "--out", os.path.join(work, name)]
-        if jobs:
-            args += ["--jobs", str(jobs)]
+    for name, config_path, argv in plan:
+        args = [*argv, "--config", config_path, "--out", os.path.join(work, name)]
         proc = subprocess.run(
             [sys.executable, "-m", "netreduce.cli", *args],
             env=child_env(src), cwd=work, capture_output=True, text=True,
@@ -160,11 +176,11 @@ def main(argv=None):
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
         plan = []
-        for name, doc, command, jobs in runs():
+        for name, doc, argv in runs():
             config_path = os.path.join(tmp, f"{name}.json")
             with open(config_path, "w") as fh:
                 json.dump(doc, fh)
-            plan.append((name, config_path, command, jobs))
+            plan.append((name, config_path, argv))
         before, after = os.path.join(tmp, "before"), os.path.join(tmp, "after")
         codes = {}
         for work, src in ((before, args.before), (after, os.path.join(ROOT, "src"))):
